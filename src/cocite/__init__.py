@@ -23,13 +23,11 @@ from .errors import (
     MenteeNoTopics,
     MissingImpacts,
     NoFinitePaths,
-    NoPapers,
     NoRetainedTopics,
     PartitionMismatch,
     RankDeficient,
     TooFewRows,
     UnknownAuthor,
-    UnknownPair,
     UnknownPaper,
     UnknownTopic,
     ZeroImpact,

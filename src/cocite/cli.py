@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands either operate on a single pair (pairs, detect, impact,
-classify, distance, career) or on the whole cohort (ingest, stats, report,
-run). synth writes a synthetic corpus with its ground truth. Options come
-from defaults, then an optional key=value --config file, then explicit
-flags, in that order.
+classify, distance, career) or on the whole cohort (ingest, run). synth
+writes a synthetic corpus with its ground truth. Options come from
+defaults, then an optional key=value --config file, then explicit flags,
+in that order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import fields as dc_fields
 from pathlib import Path
 
 from . import __version__
-from .community import DetectionConfig, detect_topics
+from .community import detect_topics
 from .corpus import ingest_corpus
 from .distance import average_distance
 from .errors import CociteError
@@ -24,10 +24,6 @@ from .pairgraph import build_pair_graph
 from .pipeline import (
     PipelineConfig,
     apply_config_values,
-    build_profiles,
-    cohort_outputs,
-    corpus_digest,
-    assign_elites,
     load_config_file,
     run_pipeline,
     write_csv,
@@ -115,16 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_pair_selector(p)
         p.add_argument("--out", required=True, help="output directory")
 
-    for name, helptext in (
-        ("stats", "cohort statistics from cached per-pair profiles"),
-        ("report", "regenerate the full report bundle"),
-        ("run", "full pipeline: ingest, pairs, stats, report"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        _add_corpus_flags(p)
-        _add_pair_flags(p)
-        _add_cohort_flags(p)
-        p.add_argument("--out", required=True, help="output directory")
+    p_run = sub.add_parser("run", help="full pipeline: ingest, pairs, cohort stats, manifest")
+    _add_corpus_flags(p_run)
+    _add_pair_flags(p_run)
+    _add_cohort_flags(p_run)
+    p_run.add_argument("--out", required=True, help="output directory")
 
     p_synth = sub.add_parser("synth", help="write a synthetic corpus with ground truth")
     p_synth.add_argument("--out", required=True, help="output directory")
@@ -200,14 +191,7 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     config, _, graph = _single_pair_chain(args)
-    assignment = detect_topics(
-        graph,
-        DetectionConfig(
-            gamma=config.gamma,
-            seed=config.seed,
-            min_community_size=config.min_community_size,
-        ),
-    )
+    assignment = detect_topics(graph, config.pair_params())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
@@ -225,14 +209,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_impact(args: argparse.Namespace) -> int:
     config, index, graph = _single_pair_chain(args)
-    assignment = detect_topics(
-        graph,
-        DetectionConfig(
-            gamma=config.gamma,
-            seed=config.seed,
-            min_community_size=config.min_community_size,
-        ),
-    )
+    assignment = detect_topics(graph, config.pair_params())
     allocation = allocate_impact(graph, assignment, index)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,14 +237,7 @@ def _cmd_impact(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     config, _, graph = _single_pair_chain(args)
-    assignment = detect_topics(
-        graph,
-        DetectionConfig(
-            gamma=config.gamma,
-            seed=config.seed,
-            min_community_size=config.min_community_size,
-        ),
-    )
+    assignment = detect_topics(graph, config.pair_params())
     typing = classify_topics(graph, assignment)
     record = classify_strategy(typing)
     out = Path(args.out)
@@ -345,23 +315,6 @@ def _cmd_career(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
-    corpus_hash = corpus_digest(config.papers, config.mentorships)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stage = build_profiles(
-        result.index, result.mentorships, config, corpus_hash, cache_dir=out / "cache"
-    )
-    assign_elites(stage.profiles, config)
-    written = cohort_outputs(stage.profiles, config, out)
-    print(f"profiles: {len(stage.profiles)}  failures: {len(stage.failures)}")
-    print(f"cache hits: {stage.cache_hits}  misses: {stage.cache_misses}")
-    print(f"wrote {len(written)} files to {out}")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     result = run_pipeline(config)
@@ -396,8 +349,6 @@ _COMMANDS = {
     "classify": _cmd_classify,
     "distance": _cmd_distance,
     "career": _cmd_career,
-    "stats": _cmd_stats,
-    "report": _cmd_run,
     "run": _cmd_run,
     "synth": _cmd_synth,
 }

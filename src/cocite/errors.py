@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class CociteError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    `stage` names the per-pair stage reported in failures.csv when the error
+    ends a pair's chain.
+    """
+
+    stage = "profile"
 
 
 # -- corpus ------------------------------------------------------------
@@ -28,7 +34,7 @@ class EmptyCorpus(CociteError):
 
 
 class UnknownAuthor(CociteError):
-    pass
+    stage = "pairs"
 
 
 class UnknownPaper(CociteError):
@@ -40,6 +46,8 @@ class UnknownPaper(CociteError):
 
 class EmptyPair(CociteError):
     """One side of a mentorship pair has no papers in the corpus."""
+
+    stage = "pairs"
 
 
 class PartitionMismatch(CociteError):
@@ -54,11 +62,11 @@ class UnknownTopic(CociteError):
 
 
 class NoRetainedTopics(CociteError):
-    pass
+    stage = "detect"
 
 
 class MenteeNoTopics(CociteError):
-    pass
+    stage = "classify"
 
 
 class ZeroImpact(CociteError):
@@ -74,13 +82,6 @@ class EmptyCohort(CociteError):
 
 class NoFinitePaths(CociteError):
     """No finite cross-pair path exists and no substitute length is defined."""
-
-
-# -- career ------------------------------------------------------------
-
-
-class NoPapers(CociteError):
-    pass
 
 
 # -- stats -------------------------------------------------------------
@@ -120,6 +121,3 @@ class TooFewRows(CociteError):
 class InvalidConfig(CociteError):
     pass
 
-
-class UnknownPair(CociteError):
-    pass

@@ -70,12 +70,6 @@ class ImpactAllocation:
         except KeyError:
             raise UnknownTopic(str(topic_id)) from None
 
-    def mentee_topic_totals(self) -> dict[int, float]:
-        return {j: t.c_mentee for j, t in self.topics.items()}
-
-    def mentor_topic_totals(self) -> dict[int, float]:
-        return {j: t.c_mentor for j, t in self.topics.items()}
-
 
 def cociting_pool(members: tuple[str, ...], index: CitationIndex) -> tuple[str, ...]:
     """Corpus papers citing at least two distinct members, sorted."""

@@ -54,9 +54,6 @@ class PairGraph:
     def degree(self, node: str) -> int:
         return len(self.adjacency[node])
 
-    def neighbors(self, node: str) -> tuple[str, ...]:
-        return self.adjacency[node]
-
     def mentee_nodes(self) -> list[str]:
         """Papers on the mentee side, joint papers included."""
         return [n for n in self.nodes if self.labels[n] in (Authorship.MENTEE, Authorship.JOINT)]

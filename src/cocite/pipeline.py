@@ -12,16 +12,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import __version__
 from .career import cohort_average_series
 from .corpus import CitationIndex, IngestConfig, MentorshipRecord, ingest_corpus
 from .errors import CociteError, InvalidConfig, ZeroImpact
-from .profiles import PairParams, PairProfile, build_pair_profile
+from .profiles import PROFILE_COLUMNS, PairParams, PairProfile, build_pair_profile, encode
 from .stats import (
     ccdf,
     equal_count_bins,
@@ -65,23 +66,15 @@ class PipelineConfig:
     # Fields that never influence results and stay out of the config hash.
     _VOLATILE = ("papers", "mentorships", "out", "workers")
 
+    def _subset(self, cls):
+        """An instance of dataclass `cls` with its fields taken from here."""
+        return cls(**{f.name: getattr(self, f.name) for f in dc_fields(cls)})
+
     def ingest_config(self) -> IngestConfig:
-        return IngestConfig(
-            min_papers=self.min_papers,
-            year_min=self.year_min,
-            year_max=self.year_max,
-            field=self.field,
-        )
+        return self._subset(IngestConfig)
 
     def pair_params(self) -> PairParams:
-        return PairParams(
-            gamma=self.gamma,
-            seed=self.seed,
-            min_community_size=self.min_community_size,
-            exclude_self_cocitation=self.exclude_self_cocitation,
-            include_joint_self_pairs=self.include_joint_self_pairs,
-            citation_window=self.citation_window,
-        )
+        return self._subset(PairParams)
 
     def analysis_items(self) -> list[tuple[str, object]]:
         items = []
@@ -172,25 +165,34 @@ def corpus_digest(papers_path: str | Path, mentorships_path: str | Path) -> str:
     return h.hexdigest()
 
 
-def pair_cache_key(corpus_hash: str, mentorship: MentorshipRecord, params: PairParams) -> str:
+def pair_cache_key(corpus_hash: str, mentorship: MentorshipRecord, config: PipelineConfig) -> str:
+    """Covers every analysis setting and the code version, so an entry is
+    served only where a recompute would give the same profile."""
     blob = json.dumps(
         {
             "corpus": corpus_hash,
             "mentor": mentorship.mentor_id,
             "mentee": mentorship.mentee_id,
-            "params": params.to_dict(),
+            "config": config.config_hash(),
+            "version": __version__,
         },
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-_FAILURE_STAGE = {
-    "EmptyPair": "pairs",
-    "UnknownAuthor": "pairs",
-    "NoRetainedTopics": "detect",
-    "MenteeNoTopics": "classify",
-}
+Failure = tuple[str, str, str, str]  # mentor_id, mentee_id, stage, reason
+
+
+def _pair_result(
+    mentorship: MentorshipRecord, index: CitationIndex, params: PairParams
+) -> PairProfile | Failure:
+    """One pair's profile, or its failure row if the chain raised."""
+    try:
+        return build_pair_profile(mentorship, index, params)
+    except CociteError as exc:
+        return mentorship.mentor_id, mentorship.mentee_id, exc.stage, str(exc)
+
 
 _WORKER_INDEX: CitationIndex | None = None
 _WORKER_PARAMS: PairParams | None = None
@@ -198,26 +200,56 @@ _WORKER_PARAMS: PairParams | None = None
 
 def _init_worker(papers: str, mentorships: str, ingest_cfg: IngestConfig, params: PairParams) -> None:
     global _WORKER_INDEX, _WORKER_PARAMS
-    result = ingest_corpus(papers, mentorships, ingest_cfg)
-    _WORKER_INDEX = result.index
+    _WORKER_INDEX = ingest_corpus(papers, mentorships, ingest_cfg).index
     _WORKER_PARAMS = params
 
 
-def _worker_build(mentorship: MentorshipRecord) -> tuple[str, str, bool, dict | tuple[str, str]]:
-    try:
-        profile = build_pair_profile(mentorship, _WORKER_INDEX, _WORKER_PARAMS)
-        return mentorship.mentor_id, mentorship.mentee_id, True, profile.to_dict()
-    except CociteError as exc:
-        stage = _FAILURE_STAGE.get(type(exc).__name__, "profile")
-        return mentorship.mentor_id, mentorship.mentee_id, False, (stage, str(exc))
+def _worker_pair_result(mentorship: MentorshipRecord) -> PairProfile | Failure:
+    return _pair_result(mentorship, _WORKER_INDEX, _WORKER_PARAMS)
+
+
+class PairCache:
+    """One JSON file per pair profile under `cache_dir`.
+
+    Entries are written to a temporary file and renamed into place, so a
+    reader never sees a partial entry from this program; an entry that does
+    not decode anyway is counted as corrupt and treated as a miss.
+    """
+
+    def __init__(self, cache_dir: Path, corpus_hash: str, config: PipelineConfig):
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        self.dir = cache_dir
+        self.corpus_hash = corpus_hash
+        self.config = config
+        self.corrupt = 0
+
+    def _path(self, mentorship: MentorshipRecord) -> Path:
+        return self.dir / f"{pair_cache_key(self.corpus_hash, mentorship, self.config)}.json"
+
+    def load(self, mentorship: MentorshipRecord) -> PairProfile | None:
+        path = self._path(mentorship)
+        if not path.exists():
+            return None
+        try:
+            return PairProfile.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        except (ValueError, LookupError, TypeError, AttributeError):
+            self.corrupt += 1
+            return None
+
+    def store(self, mentorship: MentorshipRecord, profile: PairProfile) -> None:
+        path = self._path(mentorship)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(profile.to_dict(), sort_keys=True), encoding="utf-8")
+        os.replace(tmp, path)
 
 
 @dataclass
 class PairStageResult:
     profiles: list[PairProfile]
-    failures: list[tuple[str, str, str, str]]
+    failures: list[Failure]
     cache_hits: int
     cache_misses: int
+    cache_corrupt: int
 
 
 def build_profiles(
@@ -234,69 +266,38 @@ def build_profiles(
     """
     params = config.pair_params()
     ordered = sorted(mentorships, key=lambda m: (m.field, m.mentor_id, m.mentee_id))
-    profiles: list[PairProfile] = []
-    failures: list[tuple[str, str, str, str]] = []
-    hits = 0
-    misses = 0
+    cache = None if cache_dir is None else PairCache(cache_dir, corpus_hash, config)
 
+    results: dict[MentorshipRecord, PairProfile | Failure] = {}
     pending: list[MentorshipRecord] = []
-    cached: dict[tuple[str, str], PairProfile] = {}
-    if cache_dir is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
     for m in ordered:
-        if cache_dir is not None:
-            path = cache_dir / f"{pair_cache_key(corpus_hash, m, params)}.json"
-            if path.exists():
-                cached[(m.mentor_id, m.mentee_id)] = PairProfile.from_dict(
-                    json.loads(path.read_text(encoding="utf-8"))
-                )
-                hits += 1
-                continue
-        pending.append(m)
-        misses += 1
-
-    built: dict[tuple[str, str], PairProfile] = {}
-    failed: dict[tuple[str, str], tuple[str, str]] = {}
-    if pending:
-        if config.workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=config.workers,
-                initializer=_init_worker,
-                initargs=(config.papers, config.mentorships, config.ingest_config(), params),
-            ) as pool:
-                results = list(pool.map(_worker_build, pending))
+        profile = cache.load(m) if cache is not None else None
+        if profile is None:
+            pending.append(m)
         else:
-            results = []
-            for m in pending:
-                try:
-                    profile = build_pair_profile(m, index, params)
-                    results.append((m.mentor_id, m.mentee_id, True, profile.to_dict()))
-                except CociteError as exc:
-                    stage = _FAILURE_STAGE.get(type(exc).__name__, "profile")
-                    results.append((m.mentor_id, m.mentee_id, False, (stage, str(exc))))
-        for mentor_id, mentee_id, ok, payload in results:
-            if ok:
-                built[(mentor_id, mentee_id)] = PairProfile.from_dict(payload)
-            else:
-                failed[(mentor_id, mentee_id)] = payload
+            results[m] = profile
 
-    for m in ordered:
-        key = (m.mentor_id, m.mentee_id)
-        if key in cached:
-            profiles.append(cached[key])
-        elif key in built:
-            profile = built[key]
-            profiles.append(profile)
-            if cache_dir is not None:
-                path = cache_dir / f"{pair_cache_key(corpus_hash, m, params)}.json"
-                path.write_text(
-                    json.dumps(profile.to_dict(), sort_keys=True), encoding="utf-8"
-                )
-        else:
-            stage, reason = failed[key]
-            failures.append((m.mentor_id, m.mentee_id, stage, reason))
+    if pending and config.workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=config.workers,
+            initializer=_init_worker,
+            initargs=(config.papers, config.mentorships, config.ingest_config(), params),
+        ) as pool:
+            computed = list(pool.map(_worker_pair_result, pending))
+    else:
+        computed = [_pair_result(m, index, params) for m in pending]
+    for m, result in zip(pending, computed):
+        results[m] = result
+        if cache is not None and isinstance(result, PairProfile):
+            cache.store(m, result)
+
+    ordered_results = [results[m] for m in ordered]
     return PairStageResult(
-        profiles=profiles, failures=failures, cache_hits=hits, cache_misses=misses
+        profiles=[r for r in ordered_results if isinstance(r, PairProfile)],
+        failures=[r for r in ordered_results if not isinstance(r, PairProfile)],
+        cache_hits=len(ordered) - len(pending),
+        cache_misses=len(pending),
+        cache_corrupt=cache.corrupt if cache is not None else 0,
     )
 
 
@@ -318,68 +319,12 @@ def assign_elites(profiles: Sequence[PairProfile], config: PipelineConfig) -> No
         )
 
 
-_PROFILE_COLUMNS: tuple[tuple[str, str], ...] = (
-    ("field", "field"),
-    ("mentor_id", "mentor_id"),
-    ("mentee_id", "mentee_id"),
-    ("n_nodes", "n_nodes"),
-    ("n_edges", "n_edges"),
-    ("n_topics", "n_topics"),
-    ("n_unassigned", "n_unassigned"),
-    ("modularity_q", "modularity_q"),
-    ("strategy", "strategy"),
-    ("n_shared", "n_shared"),
-    ("n_new", "n_new"),
-    ("R", "new_topic_ratio"),
-    ("ave_distance", "ave_distance"),
-    ("ave_distance_sq", "ave_distance_sq"),
-    ("n_distance_pairs", "n_distance_pairs"),
-    ("n_disconnected", "n_disconnected"),
-    ("distance_substituted", "distance_substituted"),
-    ("distance_failed", "distance_failed"),
-    ("C_e_total", "mentee_total_impact"),
-    ("C_r_total", "mentor_total_impact"),
-    ("zero_impact", "zero_impact"),
-    ("mentee_citation_total", "mentee_citation_total"),
-    ("mentor_citation_total", "mentor_citation_total"),
-    ("first_pub_year_mte", "first_pub_year_mte"),
-    ("first_pub_year_mto", "first_pub_year_mto"),
-    ("career_len_mte", "career_len_mte"),
-    ("career_len_mto", "career_len_mto"),
-    ("pre_1990_mte", "pre_1990_mte"),
-    ("career_30y_mte", "career_30y_mte"),
-    ("colla_work_count", "colla_work_count"),
-    ("colla_work_count_first_5y", "colla_work_count_first_5y"),
-    ("colla_work_count_later", "colla_work_count_later"),
-    ("common_collaborators_count", "common_collaborators_count"),
-    ("mte_work_count_first_5y", "mte_work_count_first_5y"),
-    ("topic_num_mto", "topic_num_mto"),
-    ("mto_citation_impact", "mto_citation_impact"),
-    ("is_elite", "is_elite"),
-    ("outperforming", "outperforming"),
-    ("degenerate_median", "degenerate_median"),
-)
-
-_TYPE_COLS = {
-    TopicType.PRIMARY: "impact_primary",
-    TopicType.SECONDARY: "impact_secondary",
-    TopicType.NEW: "impact_new",
-}
-
-
 def profile_table(profiles: Sequence[PairProfile]) -> tuple[list[str], list[list[object]]]:
-    header = [name for name, _ in _PROFILE_COLUMNS]
-    header += ["impact_primary_mte", "impact_secondary_mte", "impact_new_mte"]
-    header += ["impact_primary_mto", "impact_secondary_mto"]
-    rows = []
-    for p in profiles:
-        row: list[object] = []
-        for _, attr in _PROFILE_COLUMNS:
-            value = getattr(p, attr)
-            row.append(value.value if hasattr(value, "value") else value)
-        row += [p.mentee_impact_by_type[t] for t in (TopicType.PRIMARY, TopicType.SECONDARY, TopicType.NEW)]
-        row += [p.mentor_impact_by_type[t] for t in (TopicType.PRIMARY, TopicType.SECONDARY)]
-        rows.append(row)
+    header = [column for column, _, _ in PROFILE_COLUMNS]
+    rows = [
+        [encode(value(getattr(p, name))) for _, name, value in PROFILE_COLUMNS]
+        for p in profiles
+    ]
     return header, rows
 
 
@@ -408,13 +353,26 @@ def regression_table(profiles: Sequence[PairProfile], config: PipelineConfig) ->
 
 def cohort_outputs(
     profiles: Sequence[PairProfile], config: PipelineConfig, out_dir: Path
-) -> list[str]:
-    """Write every cohort-level CSV; returns the file names written."""
+) -> tuple[list[str], dict[str, str]]:
+    """Write every cohort-level CSV. Returns the file names written and, for
+    each file left header-only because its statistic could not be computed,
+    the reason."""
     written: list[str] = []
+    empty: dict[str, str] = {}
 
     def emit(name: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
         write_csv(out_dir / name, header, rows)
         written.append(name)
+
+    def emit_guarded(
+        name: str, header: Sequence[str], rows: Callable[[], list[Sequence[object]]]
+    ) -> None:
+        try:
+            computed = rows()
+        except CociteError as exc:
+            computed = []
+            empty[name] = f"{type(exc).__name__}: {exc}"
+        emit(name, header, computed)
 
     header, rows = profile_table(profiles)
     emit("profiles.csv", header, rows)
@@ -575,73 +533,62 @@ def cohort_outputs(
         for x, y in zip(table["ave_distance"], table["mentee_total_impact"])
         if math.isfinite(x) and math.isfinite(y)
     ]
-    try:
-        curve = equal_count_bins(xs, ys, n_bins=config.n_bins)
-        emit(
-            "curve.csv",
-            ["bin", "mean_x", "mean_y", "count"],
-            [
-                (i, curve.mean_x[i], curve.mean_y[i], curve.counts[i])
-                for i in range(len(curve.mean_x))
-            ],
-        )
-    except CociteError:
-        emit("curve.csv", ["bin", "mean_x", "mean_y", "count"], [])
-    try:
-        fit = fit_quadratic(xs, ys)
-        emit(
-            "fit.csv",
-            ["intercept", "slope", "curvature", "p_curvature", "peak_x", "inverted_u", "n"],
-            [
-                (
-                    fit.intercept,
-                    fit.slope,
-                    fit.curvature,
-                    fit.p_curvature,
-                    fit.peak_x,
-                    fit.inverted_u,
-                    fit.n,
-                )
-            ],
-        )
-    except CociteError:
-        emit(
-            "fit.csv",
-            ["intercept", "slope", "curvature", "p_curvature", "peak_x", "inverted_u", "n"],
-            [],
-        )
 
-    # Model ladder.
-    reg_rows: list[Sequence[object]] = []
-    try:
+    def curve_rows() -> list[Sequence[object]]:
+        curve = equal_count_bins(xs, ys, n_bins=config.n_bins)
+        return [
+            (i, curve.mean_x[i], curve.mean_y[i], curve.counts[i])
+            for i in range(len(curve.mean_x))
+        ]
+
+    def fit_rows() -> list[Sequence[object]]:
+        fit = fit_quadratic(xs, ys)
+        return [
+            (
+                fit.intercept,
+                fit.slope,
+                fit.curvature,
+                fit.p_curvature,
+                fit.peak_x,
+                fit.inverted_u,
+                fit.n,
+            )
+        ]
+
+    def regression_rows() -> list[Sequence[object]]:
         ladder = fit_model_ladder(
             table, outcome="mentee_total_impact", log1p_outcome=config.log1p_outcome
         )
-        for model_name, res in ladder.models:
-            for i, name in enumerate(res.names):
-                reg_rows.append(
-                    (
-                        model_name,
-                        name,
-                        res.beta[i],
-                        res.se[i],
-                        res.t[i],
-                        res.p[i],
-                        res.r2,
-                        res.adj_r2,
-                        res.n,
-                        res.df,
-                    )
-                )
-    except CociteError:
-        pass
-    emit(
+        return [
+            (
+                model_name,
+                name,
+                res.beta[i],
+                res.se[i],
+                res.t[i],
+                res.p[i],
+                res.r2,
+                res.adj_r2,
+                res.n,
+                res.df,
+            )
+            for model_name, res in ladder.models
+            for i, name in enumerate(res.names)
+        ]
+
+    emit_guarded("curve.csv", ["bin", "mean_x", "mean_y", "count"], curve_rows)
+    emit_guarded(
+        "fit.csv",
+        ["intercept", "slope", "curvature", "p_curvature", "peak_x", "inverted_u", "n"],
+        fit_rows,
+    )
+    emit_guarded(
         "regression.csv",
         ["model", "term", "beta", "se", "t", "p", "r2", "adj_r2", "n", "df"],
-        reg_rows,
+        regression_rows,
     )
 
-    return written
+    return written, empty
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +631,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     )
     written.append("failures.csv")
 
-    written += cohort_outputs(stage.profiles, config, out_dir)
+    cohort_files, empty_outputs = cohort_outputs(stage.profiles, config, out_dir)
+    written += cohort_files
 
     manifest = {
         "version": __version__,
@@ -703,6 +651,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     run_stats = {
         "cache_hits": stage.cache_hits,
         "cache_misses": stage.cache_misses,
+        "cache_corrupt": stage.cache_corrupt,
+        "empty_outputs": empty_outputs,
         "workers": config.workers,
     }
     (out_dir / "run_stats.json").write_text(

@@ -9,7 +9,10 @@ they need cohort-wide thresholds and are filled in by the pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field, fields
+from enum import Enum
+from operator import itemgetter
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from .career import (
     CareerSeries,
@@ -36,55 +39,58 @@ MENTOR_TYPES = (TopicType.PRIMARY, TopicType.SECONDARY)
 
 
 @dataclass
-class PairParams:
-    """Knobs for the per-pair computation; part of the cache key."""
+class PairParams(DetectionConfig):
+    """Knobs for the per-pair computation: topic detection plus the graph,
+    distance and citation settings."""
 
-    gamma: float = 1.0
-    seed: int = 0
-    min_community_size: int = 10
     exclude_self_cocitation: bool = False
     include_joint_self_pairs: bool = True
     citation_window: int = 5
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "min_community_size": self.min_community_size,
-            "exclude_self_cocitation": self.exclude_self_cocitation,
-            "include_joint_self_pairs": self.include_joint_self_pairs,
-            "citation_window": self.citation_window,
-        }
+
+def _same(value: Any) -> Any:
+    return value
 
 
-@dataclass
+def _columns(**columns: Callable[[Any], object]) -> Any:
+    """A profile field written as the given profiles.csv columns, each
+    computed from the field's value. With no columns the field stays out of
+    the table."""
+    return dc_field(metadata={"columns": columns})
+
+
+@dataclass(kw_only=True)
 class PairProfile:
+    """Everything the cohort stage needs about one pair.
+
+    The field order is the profiles.csv column order. A field is one column
+    under its own name unless `_columns` says otherwise; `to_dict` and
+    `from_dict` are derived from the same fields.
+    """
+
+    field: str
     mentor_id: str
     mentee_id: str
-    field: str
 
     n_nodes: int
     n_edges: int
     n_topics: int
     n_unassigned: int
     modularity_q: float
-    degenerate_median: bool
 
     strategy: Strategy
     n_shared: int
     n_new: int
-    new_topic_ratio: float
+    new_topic_ratio: float = _columns(R=_same)
 
-    ave_distance: float
+    ave_distance: float = _columns(ave_distance=_same, ave_distance_sq=lambda d: d * d)
     n_distance_pairs: int
     n_disconnected: int
     distance_substituted: bool
     distance_failed: bool
 
-    mentee_total_impact: float
-    mentor_total_impact: float
-    mentee_impact_by_type: dict[TopicType, float]
-    mentor_impact_by_type: dict[TopicType, float]
+    mentee_total_impact: float = _columns(C_e_total=_same)
+    mentor_total_impact: float = _columns(C_r_total=_same)
     zero_impact: bool
 
     mentee_citation_total: int
@@ -105,133 +111,68 @@ class PairProfile:
     topic_num_mto: int
     mto_citation_impact: int
 
-    mentee_series: CareerSeries
-    mentor_series: CareerSeries
-    mentee_decade_ratios: dict[int, dict[TopicType, float]]
-    mentor_decade_ratios: dict[int, dict[TopicType, float]]
-
     is_elite: bool | None = None
     outperforming: bool | None = None
+    degenerate_median: bool
+
+    mentee_impact_by_type: dict[TopicType, float] = _columns(
+        impact_primary_mte=itemgetter(TopicType.PRIMARY),
+        impact_secondary_mte=itemgetter(TopicType.SECONDARY),
+        impact_new_mte=itemgetter(TopicType.NEW),
+    )
+    mentor_impact_by_type: dict[TopicType, float] = _columns(
+        impact_primary_mto=itemgetter(TopicType.PRIMARY),
+        impact_secondary_mto=itemgetter(TopicType.SECONDARY),
+    )
+
+    mentee_series: CareerSeries = _columns()
+    mentor_series: CareerSeries = _columns()
+    mentee_decade_ratios: dict[int, dict[TopicType, float]] = _columns()
+    mentor_decade_ratios: dict[int, dict[TopicType, float]] = _columns()
 
     @property
     def ave_distance_sq(self) -> float:
         return self.ave_distance * self.ave_distance
 
     def to_dict(self) -> dict:
-        d = {
-            "mentor_id": self.mentor_id,
-            "mentee_id": self.mentee_id,
-            "field": self.field,
-            "n_nodes": self.n_nodes,
-            "n_edges": self.n_edges,
-            "n_topics": self.n_topics,
-            "n_unassigned": self.n_unassigned,
-            "modularity_q": self.modularity_q,
-            "degenerate_median": self.degenerate_median,
-            "strategy": self.strategy.value,
-            "n_shared": self.n_shared,
-            "n_new": self.n_new,
-            "new_topic_ratio": self.new_topic_ratio,
-            "ave_distance": self.ave_distance,
-            "n_distance_pairs": self.n_distance_pairs,
-            "n_disconnected": self.n_disconnected,
-            "distance_substituted": self.distance_substituted,
-            "distance_failed": self.distance_failed,
-            "mentee_total_impact": self.mentee_total_impact,
-            "mentor_total_impact": self.mentor_total_impact,
-            "mentee_impact_by_type": {k.value: v for k, v in self.mentee_impact_by_type.items()},
-            "mentor_impact_by_type": {k.value: v for k, v in self.mentor_impact_by_type.items()},
-            "zero_impact": self.zero_impact,
-            "mentee_citation_total": self.mentee_citation_total,
-            "mentor_citation_total": self.mentor_citation_total,
-            "first_pub_year_mte": self.first_pub_year_mte,
-            "first_pub_year_mto": self.first_pub_year_mto,
-            "career_len_mte": self.career_len_mte,
-            "career_len_mto": self.career_len_mto,
-            "pre_1990_mte": self.pre_1990_mte,
-            "career_30y_mte": self.career_30y_mte,
-            "colla_work_count": self.colla_work_count,
-            "colla_work_count_first_5y": self.colla_work_count_first_5y,
-            "colla_work_count_later": self.colla_work_count_later,
-            "common_collaborators_count": self.common_collaborators_count,
-            "mte_work_count_first_5y": self.mte_work_count_first_5y,
-            "topic_num_mto": self.topic_num_mto,
-            "mto_citation_impact": self.mto_citation_impact,
-            "mentee_series": [list(self.mentee_series.yearly), list(self.mentee_series.cumulative)],
-            "mentor_series": [list(self.mentor_series.yearly), list(self.mentor_series.cumulative)],
-            "mentee_decade_ratios": {
-                str(dec): {k.value: v for k, v in kinds.items()}
-                for dec, kinds in self.mentee_decade_ratios.items()
-            },
-            "mentor_decade_ratios": {
-                str(dec): {k.value: v for k, v in kinds.items()}
-                for dec, kinds in self.mentor_decade_ratios.items()
-            },
-            "is_elite": self.is_elite,
-            "outperforming": self.outperforming,
-        }
-        return d
+        """JSON-ready form: enums as their values, series as [yearly,
+        cumulative], dict keys as strings."""
+        return {f.name: encode(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PairProfile":
-        return cls(
-            mentor_id=d["mentor_id"],
-            mentee_id=d["mentee_id"],
-            field=d["field"],
-            n_nodes=d["n_nodes"],
-            n_edges=d["n_edges"],
-            n_topics=d["n_topics"],
-            n_unassigned=d["n_unassigned"],
-            modularity_q=d["modularity_q"],
-            degenerate_median=d["degenerate_median"],
-            strategy=Strategy(d["strategy"]),
-            n_shared=d["n_shared"],
-            n_new=d["n_new"],
-            new_topic_ratio=d["new_topic_ratio"],
-            ave_distance=d["ave_distance"],
-            n_distance_pairs=d["n_distance_pairs"],
-            n_disconnected=d["n_disconnected"],
-            distance_substituted=d["distance_substituted"],
-            distance_failed=d["distance_failed"],
-            mentee_total_impact=d["mentee_total_impact"],
-            mentor_total_impact=d["mentor_total_impact"],
-            mentee_impact_by_type={TopicType(k): v for k, v in d["mentee_impact_by_type"].items()},
-            mentor_impact_by_type={TopicType(k): v for k, v in d["mentor_impact_by_type"].items()},
-            zero_impact=d["zero_impact"],
-            mentee_citation_total=d["mentee_citation_total"],
-            mentor_citation_total=d["mentor_citation_total"],
-            first_pub_year_mte=d["first_pub_year_mte"],
-            first_pub_year_mto=d["first_pub_year_mto"],
-            career_len_mte=d["career_len_mte"],
-            career_len_mto=d["career_len_mto"],
-            pre_1990_mte=d["pre_1990_mte"],
-            career_30y_mte=d["career_30y_mte"],
-            colla_work_count=d["colla_work_count"],
-            colla_work_count_first_5y=d["colla_work_count_first_5y"],
-            colla_work_count_later=d["colla_work_count_later"],
-            common_collaborators_count=d["common_collaborators_count"],
-            mte_work_count_first_5y=d["mte_work_count_first_5y"],
-            topic_num_mto=d["topic_num_mto"],
-            mto_citation_impact=d["mto_citation_impact"],
-            mentee_series=CareerSeries(
-                yearly=tuple(d["mentee_series"][0]),
-                cumulative=tuple(d["mentee_series"][1]),
-            ),
-            mentor_series=CareerSeries(
-                yearly=tuple(d["mentor_series"][0]),
-                cumulative=tuple(d["mentor_series"][1]),
-            ),
-            mentee_decade_ratios={
-                int(dec): {TopicType(k): v for k, v in kinds.items()}
-                for dec, kinds in d["mentee_decade_ratios"].items()
-            },
-            mentor_decade_ratios={
-                int(dec): {TopicType(k): v for k, v in kinds.items()}
-                for dec, kinds in d["mentor_decade_ratios"].items()
-            },
-            is_elite=d["is_elite"],
-            outperforming=d["outperforming"],
-        )
+    def from_dict(cls, d: dict) -> PairProfile:
+        return cls(**{name: _decode(tp, d[name]) for name, tp in _FIELD_TYPES.items()})
+
+
+_FIELD_TYPES = get_type_hints(PairProfile)
+
+# (column, field, value of the column given the field's value), in order.
+PROFILE_COLUMNS: tuple[tuple[str, str, Callable[[Any], object]], ...] = tuple(
+    (column, f.name, value)
+    for f in fields(PairProfile)
+    for column, value in f.metadata.get("columns", {f.name: _same}).items()
+)
+
+
+def encode(value: Any) -> Any:
+    """A profile value as plain JSON data."""
+    if isinstance(value, dict):
+        return {str(encode(k)): encode(v) for k, v in value.items()}
+    if isinstance(value, CareerSeries):
+        return [list(value.yearly), list(value.cumulative)]
+    return value.value if isinstance(value, Enum) else value
+
+
+def _decode(tp: Any, value: Any) -> Any:
+    """Inverse of `encode` for a value of type `tp`."""
+    if get_origin(tp) is dict:
+        key_type, value_type = get_args(tp)
+        return {_decode(key_type, k): _decode(value_type, v) for k, v in value.items()}
+    if tp is CareerSeries:
+        return CareerSeries(*map(tuple, value))
+    if tp is int or (isinstance(tp, type) and issubclass(tp, Enum)):
+        return tp(value)
+    return value
 
 
 def _collaborators(author_id: str, index: CitationIndex) -> set[str]:
@@ -260,10 +201,7 @@ def build_pair_profile(
     graph = build_pair_graph(
         mentor_id, mentee_id, index, exclude_self_cocitation=p.exclude_self_cocitation
     )
-    assignment = detect_topics(
-        graph,
-        DetectionConfig(gamma=p.gamma, seed=p.seed, min_community_size=p.min_community_size),
-    )
+    assignment = detect_topics(graph, p)
     typing = classify_topics(graph, assignment)
     strat = classify_strategy(typing)
     allocation = allocate_impact(graph, assignment, index)

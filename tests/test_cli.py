@@ -282,17 +282,6 @@ class TestRunCommand:
         assert warm_stats["cache_hits"] == cold_stats["cache_misses"]
         assert (out / "manifest.json").read_bytes() == manifest_before
 
-    def test_report_aliases_run(self, corpus_dir, tmp_path):
-        out = tmp_path / "rep"
-        assert main(["report", *corpus_args(corpus_dir), "--out", str(out)]) == 0
-        assert (out / "manifest.json").exists()
-
-    def test_stats_command_writes_cohort_files(self, corpus_dir, tmp_path):
-        out = tmp_path / "stats"
-        assert main(["stats", *corpus_args(corpus_dir), "--out", str(out)]) == 0
-        for name in ("profiles.csv", "ccdf.csv", "quadrants.csv", "regression.csv"):
-            assert (out / name).exists()
-
     def test_profiles_csv_is_sorted(self, corpus_dir, tmp_path):
         out = tmp_path / "sorted"
         assert main(["run", *corpus_args(corpus_dir), "--out", str(out)]) == 0

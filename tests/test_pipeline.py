@@ -118,12 +118,12 @@ class TestCacheKeys:
             config.ingest_config(),
         )
         m1, m2 = result.mentorships[:2]
-        k_base = pair_cache_key(digest, m1, config.pair_params())
-        assert pair_cache_key(digest, m1, config.pair_params()) == k_base
-        assert pair_cache_key(digest, m2, config.pair_params()) != k_base
-        other = PipelineConfig(gamma=2.0)
-        assert pair_cache_key(digest, m1, other.pair_params()) != k_base
-        assert pair_cache_key("0" * 64, m1, config.pair_params()) != k_base
+        k_base = pair_cache_key(digest, m1, config)
+        assert pair_cache_key(digest, m1, PipelineConfig()) == k_base
+        assert pair_cache_key(digest, m2, config) != k_base
+        assert pair_cache_key(digest, m1, PipelineConfig(gamma=2.0)) != k_base
+        assert pair_cache_key(digest, m1, PipelineConfig(year_max=2005)) != k_base
+        assert pair_cache_key("0" * 64, m1, config) != k_base
 
 
 class TestBuildProfiles:
@@ -141,6 +141,16 @@ class TestBuildProfiles:
         assert warm.cache_hits == len(result.mentorships)
         assert warm.cache_misses == 0
         assert warm.profiles == cold.profiles
+
+    def test_ingest_settings_force_misses(self, corpus_dir, tmp_path):
+        cache = tmp_path / "cache"
+        for kwargs in ({}, {"year_max": 2005, "min_papers": 5}):
+            config = make_config(corpus_dir, tmp_path, **kwargs)
+            result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
+            digest = corpus_digest(config.papers, config.mentorships)
+            stage = build_profiles(result.index, result.mentorships, config, digest, cache)
+            assert stage.cache_hits == 0
+            assert stage.cache_misses == len(result.mentorships) > 0
 
     def test_no_cache_dir_always_builds(self, corpus_dir, tmp_path):
         config = make_config(corpus_dir, tmp_path)
@@ -222,4 +232,45 @@ class TestRunPipeline:
         manifest = json.loads(result.manifest_path.read_text())
         assert "run_stats.json" not in manifest["files"]
         stats = json.loads((result.out_dir / "run_stats.json").read_text())
-        assert set(stats) == {"cache_hits", "cache_misses", "workers"}
+        assert set(stats) == {
+            "cache_hits",
+            "cache_misses",
+            "cache_corrupt",
+            "empty_outputs",
+            "workers",
+        }
+
+    def test_truncated_cache_entry_is_recomputed(self, corpus_dir, tmp_path):
+        out = tmp_path / "run"
+        cold = run_pipeline(make_config(corpus_dir, out))
+        cold_manifest = cold.manifest_path.read_bytes()
+        entry = sorted((out / "cache").glob("*.json"))[0]
+        entry.write_bytes(entry.read_bytes()[:100])
+
+        warm = run_pipeline(make_config(corpus_dir, out))
+        stats = json.loads((out / "run_stats.json").read_text())
+        assert (stats["cache_corrupt"], stats["cache_misses"]) == (1, 1)
+        assert warm.manifest_path.read_bytes() == cold_manifest
+        assert len(entry.read_bytes()) > 100
+        assert not list((out / "cache").glob("*.tmp"))
+
+    def test_empty_cohort_outputs_record_their_reason(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(synthesize_corpus(SynthConfig(n_pairs=12, seed=0)), corpus)
+        result = run_pipeline(make_config(corpus, tmp_path / "run"))
+        empty = json.loads((result.out_dir / "run_stats.json").read_text())["empty_outputs"]
+        assert empty["curve.csv"].startswith("InsufficientData: ")
+        assert empty["regression.csv"].startswith("RankDeficient: ")
+        for name in empty:
+            assert len((result.out_dir / name).read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("min_community_size", [10, 10_000])
+    def test_pool_run_matches_serial(self, corpus_dir, tmp_path, min_community_size):
+        # At 10_000 no topic is retained and every pair lands in failures.csv.
+        kwargs = {"min_community_size": min_community_size}
+        serial = run_pipeline(make_config(corpus_dir, tmp_path / "serial", **kwargs))
+        pooled = run_pipeline(make_config(corpus_dir, tmp_path / "pool", workers=2, **kwargs))
+        assert pooled.cache_misses == serial.cache_misses > 0
+        assert (serial.n_failures > 0) == (min_community_size > 10)
+        for name in ("manifest.json", "failures.csv"):
+            assert (pooled.out_dir / name).read_bytes() == (serial.out_dir / name).read_bytes()

@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from cocite.corpus import MentorshipRecord
 from cocite.errors import EmptyPair
+from cocite.pipeline import PipelineConfig
 from cocite.profiles import PairParams, PairProfile, build_pair_profile
 from cocite.synth import SynthConfig, synthesize_corpus
 from cocite.topics import TopicType
@@ -116,16 +118,10 @@ class TestRoundTrip:
 
 class TestParams:
     def test_param_dict_lists_every_knob(self):
-        params = PairParams()
-        d = params.to_dict()
-        assert set(d) == {
-            "gamma",
-            "seed",
-            "min_community_size",
-            "exclude_self_cocitation",
-            "include_joint_self_pairs",
-            "citation_window",
-        }
+        # Every per-pair knob is a hashed analysis setting of the pipeline
+        # config, so the cache key (which covers the config hash) covers it.
+        analysis = dict(PipelineConfig().analysis_items())
+        assert {f.name for f in fields(PairParams)} <= set(analysis)
 
     def test_self_cocitation_knob_changes_the_graph(self, built):
         corpus, profiles = built
