@@ -10,25 +10,28 @@ in that order.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
 from . import __version__
 from .community import detect_topics
-from .corpus import ingest_corpus
+from .corpus import IngestConfig, ingest_corpus
 from .distance import average_distance
 from .errors import CociteError
 from .impact import allocate_impact
 from .pairgraph import build_pair_graph
 from .pipeline import (
+    SETTING_TYPES,
     PipelineConfig,
     apply_config_values,
     load_config_file,
+    parse_setting,
     run_pipeline,
     write_csv,
 )
-from .profiles import build_pair_profile
+from .profiles import PairParams, build_pair_profile
 from .synth import SynthConfig, synthesize_corpus, write_corpus
 from .topics import classify_strategy, classify_topics
 
@@ -37,47 +40,34 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--papers", required=True, help="papers JSONL path")
     p.add_argument("--mentorships", required=True, help="mentorships JSONL path")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--min-papers", type=int, dest="min_papers")
-    p.add_argument("--year-min", type=int, dest="year_min")
-    p.add_argument("--year-max", type=int, dest="year_max")
-    p.add_argument("--field", dest="field")
+    p.add_argument("--out", required=True, help="output directory")
 
 
-def _add_pair_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-community-size", type=int, dest="min_community_size")
-    p.add_argument(
-        "--exclude-self-cocitation",
-        action="store_const",
-        const=True,
-        dest="exclude_self_cocitation",
-    )
-    p.add_argument(
-        "--exclude-joint-self-pairs",
-        action="store_const",
-        const=False,
-        dest="include_joint_self_pairs",
-    )
-    p.add_argument("--citation-window", type=int, dest="citation_window")
+# The flags that turn a default-true setting off; every other boolean flag
+# turns its setting on.
+_OFF_FLAGS = {
+    "include_joint_self_pairs": "--exclude-joint-self-pairs",
+    "regression_30y": "--no-regression-30y",
+}
 
 
-def _add_cohort_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--top-fraction", type=float, dest="top_fraction")
-    p.add_argument(
-        "--elite-global", action="store_const", const=True, dest="elite_global"
-    )
-    p.add_argument("--n-bins", type=int, dest="n_bins")
-    p.add_argument(
-        "--log1p-outcome", action="store_const", const=True, dest="log1p_outcome"
-    )
-    p.add_argument(
-        "--no-regression-30y",
-        action="store_const",
-        const=False,
-        dest="regression_30y",
-    )
-    p.add_argument("--workers", type=int)
+def _add_config_flags(p: argparse.ArgumentParser, *classes: type) -> None:
+    """One flag per setting of the given config dataclasses: `--` and the
+    field name with `_` as `-`, stored under the field name and parsed as
+    in a config file. A flag left out sets nothing, so the file's value
+    stands."""
+    for cls in classes:
+        for f in dc_fields(cls):
+            if f.name in ("papers", "mentorships", "out"):  # _add_corpus_flags
+                continue
+            flag = "--" + f.name.replace("_", "-")
+            if SETTING_TYPES[f.name] is bool:
+                flag = _OFF_FLAGS[f.name] if f.default else flag
+                kind = {"action": "store_const", "const": not f.default}
+            else:
+                kind = {"type": functools.partial(parse_setting, f.name)}
+                kind["type"].__name__ = f.name  # argparse names it in errors
+            p.add_argument(flag, dest=f.name, default=argparse.SUPPRESS, **kind)
 
 
 def _add_pair_selector(p: argparse.ArgumentParser) -> None:
@@ -95,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", help="validate and filter a corpus")
     _add_corpus_flags(p_ingest)
-    p_ingest.add_argument("--out", required=True, help="output directory")
+    _add_config_flags(p_ingest, IngestConfig)
 
     for name, helptext in (
         ("pairs", "build one pair's co-citation graph"),
@@ -107,15 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         _add_corpus_flags(p)
-        _add_pair_flags(p)
+        _add_config_flags(p, IngestConfig, PairParams)
         _add_pair_selector(p)
-        p.add_argument("--out", required=True, help="output directory")
 
     p_run = sub.add_parser("run", help="full pipeline: ingest, pairs, cohort stats, manifest")
     _add_corpus_flags(p_run)
-    _add_pair_flags(p_run)
-    _add_cohort_flags(p_run)
-    p_run.add_argument("--out", required=True, help="output directory")
+    _add_config_flags(p_run, PipelineConfig)
 
     p_synth = sub.add_parser("synth", help="write a synthetic corpus with ground truth")
     p_synth.add_argument("--out", required=True, help="output directory")
@@ -128,19 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig(
-        papers=args.papers,
-        mentorships=args.mentorships,
-        out=getattr(args, "out", ""),
-    )
-    if getattr(args, "config", None):
+    """Defaults, then the --config file, then the flags given."""
+    config = PipelineConfig()
+    if args.config:
         apply_config_values(config, load_config_file(args.config))
-    for f in dc_fields(PipelineConfig):
-        if f.name in ("papers", "mentorships", "out"):
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(config, f.name, value)
+    for name, value in vars(args).items():
+        if name in SETTING_TYPES:
+            setattr(config, name, value)
     return config
 
 

@@ -14,9 +14,10 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import asdict, dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from types import NoneType
+from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
 
 from . import __version__
 from .career import cohort_average_series
@@ -24,6 +25,7 @@ from .corpus import CitationIndex, IngestConfig, MentorshipRecord, ingest_corpus
 from .errors import CociteError, InvalidConfig, ZeroImpact
 from .profiles import PROFILE_COLUMNS, PairParams, PairProfile, build_pair_profile, encode
 from .stats import (
+    LADDER_COLUMNS,
     ccdf,
     equal_count_bins,
     fit_model_ladder,
@@ -38,22 +40,14 @@ from .topics import TopicType, flag_elites, is_outperforming
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(PairParams, IngestConfig):
+    """Every setting of `cocite run`: the ingest and per-pair settings that
+    decide each profile are inherited, and the fields declared here are the
+    volatile ones and those that decide only the cohort outputs."""
+
     papers: str = ""
     mentorships: str = ""
     out: str = ""
-
-    min_papers: int = 20
-    year_min: int = 1960
-    year_max: int = 2021
-    field: str | None = None
-
-    gamma: float = 1.0
-    seed: int = 0
-    min_community_size: int = 10
-    exclude_self_cocitation: bool = False
-    include_joint_self_pairs: bool = True
-    citation_window: int = 5
 
     top_fraction: float = 0.2
     elite_global: bool = False
@@ -89,6 +83,29 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+SETTING_TYPES = get_type_hints(PipelineConfig)
+
+
+def parse_setting(key: str, raw: str) -> object:
+    """The value of setting `key` from its text in a config file or a flag.
+
+    `none` and `null` mean None only where the field's type admits it.
+    Raises ValueError if the text does not parse.
+    """
+    options = get_args(SETTING_TYPES[key]) or (SETTING_TYPES[key],)
+    lowered = raw.lower()
+    if lowered in ("none", "null") and NoneType in options:
+        return None
+    tp = next(t for t in options if t is not NoneType)
+    if tp is not bool:
+        return tp(raw)
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(f"bad boolean {raw!r}")
+
+
 def load_config_file(path: str | Path) -> dict[str, str]:
     """key=value lines; blank lines and # comments ignored."""
     out: dict[str, str] = {}
@@ -104,28 +121,14 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 
 
 def apply_config_values(config: PipelineConfig, values: Mapping[str, str]) -> None:
-    """Overlay string key=value settings onto a config, with type coercion."""
-    types = {f.name: f.type for f in dc_fields(PipelineConfig)}
+    """Overlay string key=value settings onto a config, parsed by field type."""
     for key, raw in values.items():
-        if key.startswith("_") or key not in types:
+        if key not in SETTING_TYPES:
             raise InvalidConfig(f"unknown config key {key!r}")
-        ann = types[key]
-        if raw.lower() in ("none", "null"):
-            value: object = None
-        elif "bool" in str(ann):
-            if raw.lower() in ("true", "1", "yes"):
-                value = True
-            elif raw.lower() in ("false", "0", "no"):
-                value = False
-            else:
-                raise InvalidConfig(f"config key {key!r}: bad boolean {raw!r}")
-        elif "int" in str(ann):
-            value = int(raw)
-        elif "float" in str(ann):
-            value = float(raw)
-        else:
-            value = raw
-        setattr(config, key, value)
+        try:
+            setattr(config, key, parse_setting(key, raw))
+        except ValueError as exc:
+            raise InvalidConfig(f"config key {key!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +169,15 @@ def corpus_digest(papers_path: str | Path, mentorships_path: str | Path) -> str:
 
 
 def pair_cache_key(corpus_hash: str, mentorship: MentorshipRecord, config: PipelineConfig) -> str:
-    """Covers every analysis setting and the code version, so an entry is
-    served only where a recompute would give the same profile."""
+    """Covers every ingest and per-pair setting and the code version, so an
+    entry is served only where a recompute would give the same profile; the
+    cohort-only settings do not decide a profile and stay out."""
     blob = json.dumps(
         {
             "corpus": corpus_hash,
             "mentor": mentorship.mentor_id,
             "mentee": mentorship.mentee_id,
-            "config": config.config_hash(),
+            "settings": asdict(config.ingest_config()) | asdict(config.pair_params()),
             "version": __version__,
         },
         sort_keys=True,
@@ -198,9 +202,11 @@ _WORKER_INDEX: CitationIndex | None = None
 _WORKER_PARAMS: PairParams | None = None
 
 
-def _init_worker(papers: str, mentorships: str, ingest_cfg: IngestConfig, params: PairParams) -> None:
+def _init_worker(index: CitationIndex, params: PairParams) -> None:
+    """Under the fork start method the worker inherits the parent's index
+    without a copy."""
     global _WORKER_INDEX, _WORKER_PARAMS
-    _WORKER_INDEX = ingest_corpus(papers, mentorships, ingest_cfg).index
+    _WORKER_INDEX = index
     _WORKER_PARAMS = params
 
 
@@ -213,7 +219,8 @@ class PairCache:
 
     Entries are written to a temporary file and renamed into place, so a
     reader never sees a partial entry from this program; an entry that does
-    not decode anyway is counted as corrupt and treated as a miss.
+    not decode anyway is counted as corrupt and treated as a miss. `prune`
+    keeps only the entries of the pairs looked up since the cache opened.
     """
 
     def __init__(self, cache_dir: Path, corpus_hash: str, config: PipelineConfig):
@@ -222,12 +229,14 @@ class PairCache:
         self.corpus_hash = corpus_hash
         self.config = config
         self.corrupt = 0
+        self.live: set[str] = set()
 
     def _path(self, mentorship: MentorshipRecord) -> Path:
         return self.dir / f"{pair_cache_key(self.corpus_hash, mentorship, self.config)}.json"
 
     def load(self, mentorship: MentorshipRecord) -> PairProfile | None:
         path = self._path(mentorship)
+        self.live.add(path.name)
         if not path.exists():
             return None
         try:
@@ -241,6 +250,13 @@ class PairCache:
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps(profile.to_dict(), sort_keys=True), encoding="utf-8")
         os.replace(tmp, path)
+
+    def prune(self) -> None:
+        """Delete stale entries, written under other settings or for other
+        pairs, and temporary files left by an interrupted write."""
+        for path in self.dir.iterdir():
+            if path.suffix == ".tmp" or (path.suffix == ".json" and path.name not in self.live):
+                path.unlink()
 
 
 @dataclass
@@ -281,7 +297,7 @@ def build_profiles(
         with ProcessPoolExecutor(
             max_workers=config.workers,
             initializer=_init_worker,
-            initargs=(config.papers, config.mentorships, config.ingest_config(), params),
+            initargs=(index, params),
         ) as pool:
             computed = list(pool.map(_worker_pair_result, pending))
     else:
@@ -290,6 +306,8 @@ def build_profiles(
         results[m] = result
         if cache is not None and isinstance(result, PairProfile):
             cache.store(m, result)
+    if cache is not None:
+        cache.prune()
 
     ordered_results = [results[m] for m in ordered]
     return PairStageResult(
@@ -335,19 +353,7 @@ def regression_table(profiles: Sequence[PairProfile], config: PipelineConfig) ->
         for p in profiles
         if not config.regression_30y or (p.career_30y_mte and p.pre_1990_mte)
     ]
-    cols = [
-        "mentee_total_impact",
-        "ave_distance",
-        "ave_distance_sq",
-        "career_len_mte",
-        "mte_work_count_first_5y",
-        "topic_num_mto",
-        "mto_citation_impact",
-        "colla_work_count",
-        "colla_work_count_first_5y",
-        "colla_work_count_later",
-        "common_collaborators_count",
-    ]
+    cols = ("mentee_total_impact", *LADDER_COLUMNS)
     return {c: [float(getattr(p, c)) for p in selected] for c in cols}
 
 

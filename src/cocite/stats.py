@@ -296,6 +296,9 @@ MODEL_LADDER: tuple[tuple[str, tuple[str, ...]], ...] = (
     ),
 )
 
+# Every column some ladder model uses, in order of first use.
+LADDER_COLUMNS: tuple[str, ...] = tuple(dict.fromkeys(c for _, cols in MODEL_LADDER for c in cols))
+
 
 @dataclass(frozen=True)
 class LadderResult:
@@ -317,11 +320,7 @@ def fit_model_ladder(
     Rows with a non-finite value in the outcome or in any column used by
     any ladder model are dropped once, up front.
     """
-    needed: list[str] = [outcome]
-    for _, cols in MODEL_LADDER:
-        for c in cols:
-            if c not in needed:
-                needed.append(c)
+    needed = list(dict.fromkeys((outcome, *LADDER_COLUMNS)))
     arrays = {}
     for c in needed:
         if c not in table:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -28,6 +28,7 @@ from .corpus import (
     index_from_records,
 )
 from .pairgraph import MENTEE_SIDE, MENTOR_SIDE, Authorship, PairGraph
+from .profiles import encode
 from .topics import Strategy
 
 # ---------------------------------------------------------------------------
@@ -303,28 +304,7 @@ class PairTruth:
     mentor_career_len: int
 
     def to_dict(self) -> dict:
-        return {
-            "mentor_id": self.mentor_id,
-            "mentee_id": self.mentee_id,
-            "field": self.field,
-            "strategy": self.strategy.value,
-            "n_shared": self.n_shared,
-            "n_new": self.n_new,
-            "new_topic_ratio": self.new_topic_ratio,
-            "n_topics": self.n_topics,
-            "topic_of": self.topic_of,
-            "mentor_primary_topics": list(self.mentor_primary_topics),
-            "per_topic_mentee_impact": {str(k): v for k, v in self.per_topic_mentee_impact.items()},
-            "per_topic_mentor_impact": {str(k): v for k, v in self.per_topic_mentor_impact.items()},
-            "mentee_total": self.mentee_total,
-            "mentor_total": self.mentor_total,
-            "colla_work_count": self.colla_work_count,
-            "common_collaborators_count": self.common_collaborators_count,
-            "mentee_first_year": self.mentee_first_year,
-            "mentee_career_len": self.mentee_career_len,
-            "mentor_first_year": self.mentor_first_year,
-            "mentor_career_len": self.mentor_career_len,
-        }
+        return {f.name: encode(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass

@@ -131,6 +131,16 @@ class TestErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["min_papers=abc", "gamma=none"])
+    def test_unparsable_config_value_exits_two(self, corpus_dir, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        code = main(["run", *corpus_args(corpus_dir), "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"config key {line.split('=')[0]!r}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestSinglePairCommands:
     def test_pairs_writes_nodes_and_edges(self, corpus_dir, tmp_path):

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
+import cocite.pipeline
 from cocite.errors import InvalidConfig
 from cocite.pipeline import (
     PipelineConfig,
@@ -90,6 +92,12 @@ class TestConfig:
             apply_config_values(config, {"_VOLATILE": "x"})
         with pytest.raises(InvalidConfig):
             apply_config_values(config, {"elite_global": "maybe"})
+        # Values that do not parse name their key; none/null only where the
+        # field's type admits None.
+        for key, raw in (("min_papers", "abc"), ("gamma", "none"), ("workers", "null")):
+            with pytest.raises(InvalidConfig, match=repr(key)):
+                apply_config_values(config, {key: raw})
+        assert config == PipelineConfig()
 
 
 class TestCsv:
@@ -124,6 +132,9 @@ class TestCacheKeys:
         assert pair_cache_key(digest, m1, PipelineConfig(gamma=2.0)) != k_base
         assert pair_cache_key(digest, m1, PipelineConfig(year_max=2005)) != k_base
         assert pair_cache_key("0" * 64, m1, config) != k_base
+        # Cohort-only and volatile settings do not decide a profile.
+        assert pair_cache_key(digest, m1, PipelineConfig(n_bins=10)) == k_base
+        assert pair_cache_key(digest, m1, PipelineConfig(top_fraction=0.3, workers=2)) == k_base
 
 
 class TestBuildProfiles:
@@ -263,6 +274,37 @@ class TestRunPipeline:
         assert empty["regression.csv"].startswith("RankDeficient: ")
         for name in empty:
             assert len((result.out_dir / name).read_text().splitlines()) == 1
+
+    def test_cohort_setting_reuses_cache(self, corpus_dir, tmp_path):
+        warm_dir = tmp_path / "warm"
+        run_pipeline(make_config(corpus_dir, warm_dir))
+        warm = run_pipeline(make_config(corpus_dir, warm_dir, n_bins=10))
+        fresh = run_pipeline(make_config(corpus_dir, tmp_path / "fresh", n_bins=10))
+        assert (warm.cache_hits, warm.cache_misses) == (fresh.n_profiles, 0)
+        assert warm.manifest_path.read_bytes() == fresh.manifest_path.read_bytes()
+
+    def test_cache_keeps_only_the_latest_run(self, corpus_dir, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(make_config(corpus_dir, out, gamma=1.0))
+        (out / "cache" / "left.json.123.tmp").write_text("{")
+        result = run_pipeline(make_config(corpus_dir, out, gamma=2.0))
+        assert result.cache_misses == result.n_profiles > 0
+        assert len(list((out / "cache").iterdir())) == result.n_profiles
+        again = run_pipeline(make_config(corpus_dir, out, gamma=2.0))
+        assert (again.cache_hits, again.cache_misses) == (result.n_profiles, 0)
+
+    def test_pool_workers_do_not_reingest(self, corpus_dir, tmp_path, monkeypatch):
+        parent = os.getpid()
+        real = cocite.pipeline.ingest_corpus
+
+        def parent_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("corpus ingested in a pool worker")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cocite.pipeline, "ingest_corpus", parent_only)
+        result = run_pipeline(make_config(corpus_dir, tmp_path / "pool", workers=2))
+        assert result.cache_misses == result.n_profiles > 0
 
     @pytest.mark.parametrize("min_community_size", [10, 10_000])
     def test_pool_run_matches_serial(self, corpus_dir, tmp_path, min_community_size):
