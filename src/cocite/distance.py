@@ -6,15 +6,29 @@ distance averages d(e, r) over all mentee-side x mentor-side paper pairs.
 Joint papers sit on both sides; their zero-length self pairings count by
 default. Disconnected pairs substitute the largest finite distance observed
 anywhere in the graph.
+
+The kernel works on the pair graph as a CSR matrix. Its connected
+components give the disconnected (e, r) count without any search:
+|E|·|R| minus the sum over components c of |E ∩ c|·|R ∩ c|. Only nodes in
+components of two or more nodes can reach anything, so only they are
+sources of the unweighted shortest-path search, in chunks of at most
+``CHUNK_CELLS`` distance cells so that no V x V matrix is ever held. The
+largest finite distance comes from all of these rows; the finite mentee x
+mentor distances are summed as exact integers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NoFinitePaths
-from .pairgraph import PairGraph
+from .pairgraph import MENTEE_SIDE, MENTOR_SIDE, PairGraph
+
+# Distance cells (8 bytes each) per shortest-path call: sources are taken
+# CHUNK_CELLS // n_nodes rows at a time, at least one.
+CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -24,20 +38,6 @@ class DistanceResult:
     n_disconnected: int
     max_finite_distance: int | None
     substituted: bool
-
-
-def bfs_distances(graph: PairGraph, source: str) -> dict[str, int]:
-    """Hop counts from source to every reachable node."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in graph.adjacency[u]:
-            if v not in dist:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
 
 
 def average_distance(graph: PairGraph, include_joint_self_pairs: bool = True) -> DistanceResult:
@@ -51,33 +51,49 @@ def average_distance(graph: PairGraph, include_joint_self_pairs: bool = True) ->
     zero-length pairings of joint papers with themselves are skipped and the
     denominator shrinks accordingly.
     """
-    mentee_set = set(graph.mentee_nodes())
-    mentor_set = set(graph.mentor_nodes())
-
-    max_finite = None
-    total = 0
-    n_pairs = 0
-    n_disconnected = 0
-    for source in graph.nodes:
-        dist = bfs_distances(graph, source)
-        for target, d in dist.items():
-            if target != source and (max_finite is None or d > max_finite):
-                max_finite = d
-        if source not in mentee_set:
-            continue
-        for r in mentor_set:
-            if r == source:
-                if include_joint_self_pairs:
-                    n_pairs += 1
-                continue
-            n_pairs += 1
-            if r in dist:
-                total += dist[r]
-            else:
-                n_disconnected += 1
-
+    nodes = graph.nodes
+    mentee = np.array([graph.labels[v] in MENTEE_SIDE for v in nodes], dtype=bool)
+    mentor = np.array([graph.labels[v] in MENTOR_SIDE for v in nodes], dtype=bool)
+    n_mentee, n_mentor = int(mentee.sum()), int(mentor.sum())
+    n_pairs = n_mentee * n_mentor
+    if not include_joint_self_pairs:
+        n_pairs -= int((mentee & mentor).sum())
     if n_pairs == 0:
         raise NoFinitePaths("no mentee-mentor paper pairs to average")
+
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
+    n = len(nodes)
+    pos = {v: i for i, v in enumerate(nodes)}
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum([len(graph.adjacency[v]) for v in nodes], out=indptr[1:])
+    indices = np.fromiter(
+        (pos[u] for v in nodes for u in graph.adjacency[v]), dtype=np.int32, count=int(indptr[-1])
+    )
+    csr = csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+
+    n_comp, comp = connected_components(csr, directed=False)
+    connected = int(
+        np.bincount(comp[mentee], minlength=n_comp) @ np.bincount(comp[mentor], minlength=n_comp)
+    )
+    n_disconnected = n_mentee * n_mentor - connected
+
+    sources = np.flatnonzero(np.bincount(comp)[comp] >= 2)
+    rows_per_chunk = max(1, CHUNK_CELLS // n)
+    longest = 0
+    total = 0
+    # shortest_path searches directed edges; the adjacency lists every edge
+    # both ways, so the result is exact without a transpose per call.
+    for start in range(0, sources.size, rows_per_chunk):
+        chunk = sources[start:start + rows_per_chunk]
+        dist = shortest_path(csr, method="D", unweighted=True, indices=chunk)
+        longest = max(longest, int(dist[np.isfinite(dist)].max()))
+        block = dist[np.ix_(mentee[chunk], mentor)]
+        total += int(block[np.isfinite(block)].astype(np.int64).sum())
+
+    # Every source reaches a neighbour, so longest is 0 only without sources.
+    max_finite = longest or None
     if n_disconnected > 0:
         if max_finite is None:
             raise NoFinitePaths("disconnected pairs with no finite distance to substitute")

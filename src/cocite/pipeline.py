@@ -4,7 +4,8 @@ statistics, and a deterministic report bundle.
 Every output file is byte-stable for a given corpus and configuration:
 rows are fully sorted, floats are written with repr, and nothing volatile
 (timestamps, absolute paths, cache statistics) lands in hashed outputs.
-Cache statistics go to run_stats.json, which the manifest does not cover.
+Cache statistics and distance-substitution counts go to run_stats.json,
+which the manifest does not cover.
 """
 
 from __future__ import annotations
@@ -658,6 +659,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         "cache_hits": stage.cache_hits,
         "cache_misses": stage.cache_misses,
         "cache_corrupt": stage.cache_corrupt,
+        "distance_failed": sum(p.distance_failed for p in stage.profiles),
+        "distance_substituted": sum(p.distance_substituted for p in stage.profiles),
         "empty_outputs": empty_outputs,
         "workers": config.workers,
     }

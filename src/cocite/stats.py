@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import t as t_dist
 
 from .errors import (
     DegenerateX,
@@ -222,7 +221,11 @@ def fit_ols(
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    p_vals = 2.0 * t_dist.sf(np.abs(t_stats), df)
+    # scipy.stats.t.sf(x, df) is stdtr(df, -x); scipy.special alone
+    # imports in a third of the time, and only the cohort fit needs it.
+    from scipy.special import stdtr
+
+    p_vals = 2.0 * stdtr(df, -np.abs(t_stats))
     r2 = 1.0 - rss / tss
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df if intercept else math.nan
     return OlsResult(

@@ -8,7 +8,7 @@ forward reference scans) so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 from typing import Hashable, Mapping
 
@@ -100,6 +100,30 @@ def oracle_average_distance(
             return None
         total += n_disc * max_finite
     return total / n_pairs, n_pairs, n_disc
+
+
+# ---------------------------------------------------------------------------
+# second distance oracle: breadth-first search over the adjacency dicts
+
+
+def bfs_distances(graph: PairGraph, source: str) -> dict[str, int]:
+    """Hop counts from source to every reachable node."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        for v in graph.adjacency[u]:
+            if v not in dist:
+                dist[v] = du + 1
+                queue.append(v)
+    return dist
+
+
+def bfs_max_finite_distance(graph: PairGraph) -> int | None:
+    """Largest hop count between two distinct nodes, or None without edges."""
+    longest = max((max(bfs_distances(graph, s).values()) for s in graph.nodes), default=0)
+    return longest or None
 
 
 # ---------------------------------------------------------------------------

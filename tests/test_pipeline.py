@@ -1,5 +1,6 @@
 """Pipeline configuration, caching, and deterministic outputs."""
 
+import csv
 import hashlib
 import json
 import os
@@ -247,9 +248,15 @@ class TestRunPipeline:
             "cache_hits",
             "cache_misses",
             "cache_corrupt",
+            "distance_failed",
+            "distance_substituted",
             "empty_outputs",
             "workers",
         }
+        with (result.out_dir / "profiles.csv").open(newline="") as f:
+            rows = list(csv.DictReader(f))
+        for flag in ("distance_failed", "distance_substituted"):
+            assert stats[flag] == sum(row[flag] == "true" for row in rows)
 
     def test_truncated_cache_entry_is_recomputed(self, corpus_dir, tmp_path):
         out = tmp_path / "run"

@@ -1,11 +1,16 @@
 """Cohort statistics: CCDF, quadrants, ternary shares, bins, OLS, ladder."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cocite
 from cocite.errors import (
     DegenerateX,
     EmptyInput,
@@ -170,6 +175,41 @@ class TestOls:
     def test_length_mismatch(self):
         with pytest.raises(EmptyInput):
             fit_ols({"x": [1.0, 2.0]}, [1.0, 2.0, 3.0])
+
+
+class TestLazyScipy:
+    """fit_ols takes p-values from scipy.special.stdtr, imported on first
+    use, in place of scipy.stats.t.sf, which costs far more to import."""
+
+    def test_p_values_match_t_sf_bit_for_bit(self):
+        from scipy.stats import t as t_dist
+
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=40)
+        z = rng.normal(size=40)
+        res = fit_ols({"x": x, "z": z}, 0.5 + 0.3 * x - 0.01 * z + rng.normal(size=40))
+        expected = 2.0 * t_dist.sf(np.abs(np.array(res.t)), res.df)
+        assert np.array(res.p).tobytes() == expected.tobytes()
+
+    def test_stdtr_matches_t_sf_on_edge_values(self):
+        from scipy.special import stdtr
+        from scipy.stats import t as t_dist
+
+        x = np.array([0.0, 1e-300, 0.5, 2.0, 40.0, np.inf, np.nan, 1e300])
+        for df in (0, 0.5, 1, 3, 1e6, -1):
+            assert (2.0 * stdtr(df, -x)).tobytes() == (2.0 * t_dist.sf(x, df)).tobytes(), df
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import cocite, cocite.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        src = str(Path(cocite.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestQuadraticFit:
