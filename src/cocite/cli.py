@@ -12,20 +12,22 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields as dc_fields
+from dataclasses import astuple, fields as dc_fields
 from pathlib import Path
 
 from . import __version__
 from .community import detect_topics
 from .corpus import IngestConfig, ingest_corpus
-from .distance import average_distance
+from .distance import DistanceResult, average_distance
 from .errors import CociteError
 from .impact import allocate_impact
 from .pairgraph import build_pair_graph
 from .pipeline import (
+    CAREER_COLUMNS,
     SETTING_TYPES,
     PipelineConfig,
     apply_config_values,
+    career_rows,
     load_config_file,
     parse_setting,
     run_pipeline,
@@ -248,17 +250,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
-        out / "distance.csv",
-        ["ave_distance", "n_pairs", "n_disconnected", "max_finite_distance", "substituted"],
-        [
-            (
-                result.ave_distance,
-                result.n_pairs,
-                result.n_disconnected,
-                result.max_finite_distance,
-                result.substituted,
-            )
-        ],
+        out / "distance.csv", [f.name for f in dc_fields(DistanceResult)], [astuple(result)]
     )
     print(f"ave_distance: {result.ave_distance!r}")
     return 0
@@ -282,15 +274,7 @@ def _cmd_career(args: argparse.Namespace) -> int:
     profile = build_pair_profile(mentorship, result.index, config.pair_params())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "career.csv",
-        ["role", "career_year", "yearly", "cumulative"],
-        [
-            (role, y, series.yearly[y], series.cumulative[y])
-            for role, series in (("mentee", profile.mentee_series), ("mentor", profile.mentor_series))
-            for y in range(len(series.yearly))
-        ],
-    )
+    write_csv(out / "career.csv", CAREER_COLUMNS, career_rows(profile))
     print(f"mentee total: {profile.mentee_total_impact!r}")
     print(f"mentor total: {profile.mentor_total_impact!r}")
     return 0
@@ -343,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     except CociteError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,9 +51,6 @@ class TopicAssignment:
     def n_unassigned(self) -> int:
         return sum(1 for t in self.topic_of.values() if t is None)
 
-    def members(self, topic_id: int) -> tuple[str, ...]:
-        return self.topics[topic_id]
-
 
 def modularity(adj: WeightedGraph, partition: Mapping[Hashable, Hashable], gamma: float = 1.0) -> float:
     """Modularity Q of a partition, computed in community form.

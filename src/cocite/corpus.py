@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -41,10 +41,6 @@ class PaperRecord:
     field: str
     reference_ids: tuple[str, ...]
 
-    @property
-    def author_count(self) -> int:
-        return len(self.author_ids)
-
 
 @dataclass(frozen=True)
 class MentorshipRecord:
@@ -58,7 +54,6 @@ class MentorshipRecord:
 class CohortFlags:
     """Career-level flags for one author, derived from their indexed papers."""
 
-    is_eligible_author: bool
     first_pub_year: int
     career_len: int
     pre_1990_starter: bool
@@ -146,18 +141,6 @@ class CitationIndex:
 
     # -- lookups --------------------------------------------------------
 
-    def has_paper(self, paper_id: str) -> bool:
-        return paper_id in self.paper_meta
-
-    def has_author(self, author_id: str) -> bool:
-        return author_id in self.author_papers
-
-    def references_of(self, paper_id: str) -> tuple[str, ...]:
-        try:
-            return self.citing_map[paper_id]
-        except KeyError:
-            raise UnknownPaper(paper_id) from None
-
     def citers_of(self, paper_id: str) -> tuple[str, ...]:
         try:
             return self.cited_by_map[paper_id]
@@ -192,11 +175,6 @@ class IngestResult:
     index: CitationIndex
     mentorships: list[MentorshipRecord]
     report: IngestReport
-
-
-def index_from_records(records: Iterable[PaperRecord]) -> CitationIndex:
-    """Build an index directly from records (no file round-trip)."""
-    return CitationIndex(records)
 
 
 def _require(cond: bool, line_no: int, reason: str) -> None:
@@ -343,14 +321,13 @@ def ingest_corpus(
     return IngestResult(index, mentorships, report)
 
 
-def cohort_flags(author_id: str, index: CitationIndex, min_papers: int = 20) -> CohortFlags:
+def cohort_flags(author_id: str, index: CitationIndex) -> CohortFlags:
     """Career flags for one author; pure function of the immutable index."""
     papers = index.papers_of(author_id)
     years = [index.paper_meta[p].pub_year for p in papers]
     first = min(years)
     career_len = max(years) - first
     return CohortFlags(
-        is_eligible_author=len(papers) >= min_papers,
         first_pub_year=first,
         career_len=career_len,
         pre_1990_starter=first < 1990,

@@ -57,10 +57,6 @@ class PartitionMismatch(CociteError):
 # -- communities / topics ----------------------------------------------
 
 
-class UnknownTopic(CociteError):
-    pass
-
-
 class NoRetainedTopics(CociteError):
     stage = "detect"
 

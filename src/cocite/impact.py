@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .community import TopicAssignment
 from .corpus import CitationIndex
-from .errors import UnknownTopic
 from .pairgraph import MENTEE_SIDE, MENTOR_SIDE, Authorship, PairGraph
 
 
@@ -63,12 +62,6 @@ class ImpactAllocation:
     topics: dict[int, TopicImpact]
     mentee_total: float
     mentor_total: float
-
-    def topic(self, topic_id: int) -> TopicImpact:
-        try:
-            return self.topics[topic_id]
-        except KeyError:
-            raise UnknownTopic(str(topic_id)) from None
 
 
 def cociting_pool(members: tuple[str, ...], index: CitationIndex) -> tuple[str, ...]:

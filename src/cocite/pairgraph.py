@@ -48,20 +48,6 @@ class PairGraph:
     def n_edges(self) -> int:
         return len(self.cociting_sources)
 
-    def edges(self) -> list[tuple[str, str]]:
-        return sorted(self.cociting_sources)
-
-    def degree(self, node: str) -> int:
-        return len(self.adjacency[node])
-
-    def mentee_nodes(self) -> list[str]:
-        """Papers on the mentee side, joint papers included."""
-        return [n for n in self.nodes if self.labels[n] in (Authorship.MENTEE, Authorship.JOINT)]
-
-    def mentor_nodes(self) -> list[str]:
-        """Papers on the mentor side, joint papers included."""
-        return [n for n in self.nodes if self.labels[n] in (Authorship.MENTOR, Authorship.JOINT)]
-
     def as_weighted(self) -> dict[str, dict[str, float]]:
         """Dict-of-dicts weighted view (all weights 1.0) for community detection."""
         return {

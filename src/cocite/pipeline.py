@@ -10,15 +10,16 @@ which the manifest does not cover.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields as dc_fields
+from dataclasses import asdict, astuple, dataclass, fields as dc_fields
 from pathlib import Path
 from types import NoneType
-from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
 
 from . import __version__
 from .career import cohort_average_series
@@ -27,6 +28,8 @@ from .errors import CociteError, InvalidConfig, ZeroImpact
 from .profiles import PROFILE_COLUMNS, PairParams, PairProfile, build_pair_profile, encode
 from .stats import (
     LADDER_COLUMNS,
+    LADDER_OUTCOME,
+    QuadraticFit,
     ccdf,
     equal_count_bins,
     fit_model_ladder,
@@ -91,7 +94,8 @@ def parse_setting(key: str, raw: str) -> object:
     """The value of setting `key` from its text in a config file or a flag.
 
     `none` and `null` mean None only where the field's type admits it.
-    Raises ValueError if the text does not parse.
+    Raises ValueError if the text does not parse or names a non-finite
+    float.
     """
     options = get_args(SETTING_TYPES[key]) or (SETTING_TYPES[key],)
     lowered = raw.lower()
@@ -99,7 +103,10 @@ def parse_setting(key: str, raw: str) -> object:
         return None
     tp = next(t for t in options if t is not NoneType)
     if tp is not bool:
-        return tp(raw)
+        value = tp(raw)
+        if tp is float and not math.isfinite(value):
+            raise ValueError(f"non-finite value {raw!r}")
+        return value
     if lowered in ("true", "1", "yes"):
         return True
     if lowered in ("false", "0", "no"):
@@ -147,10 +154,11 @@ def _fmt(value: object) -> str:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """A field holding `,`, `"` or a line break is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def file_digest(path: Path) -> str:
@@ -274,21 +282,21 @@ def build_profiles(
     mentorships: Sequence[MentorshipRecord],
     config: PipelineConfig,
     corpus_hash: str,
-    cache_dir: Path | None,
+    cache_dir: Path,
 ) -> PairStageResult:
-    """Per-pair stage with fault isolation and an optional JSON cache.
+    """Per-pair stage with fault isolation and a JSON cache in `cache_dir`.
 
     Output order is (field, mentor_id, mentee_id) regardless of worker
     scheduling.
     """
     params = config.pair_params()
     ordered = sorted(mentorships, key=lambda m: (m.field, m.mentor_id, m.mentee_id))
-    cache = None if cache_dir is None else PairCache(cache_dir, corpus_hash, config)
+    cache = PairCache(cache_dir, corpus_hash, config)
 
     results: dict[MentorshipRecord, PairProfile | Failure] = {}
     pending: list[MentorshipRecord] = []
     for m in ordered:
-        profile = cache.load(m) if cache is not None else None
+        profile = cache.load(m)
         if profile is None:
             pending.append(m)
         else:
@@ -305,10 +313,9 @@ def build_profiles(
         computed = [_pair_result(m, index, params) for m in pending]
     for m, result in zip(pending, computed):
         results[m] = result
-        if cache is not None and isinstance(result, PairProfile):
+        if isinstance(result, PairProfile):
             cache.store(m, result)
-    if cache is not None:
-        cache.prune()
+    cache.prune()
 
     ordered_results = [results[m] for m in ordered]
     return PairStageResult(
@@ -316,7 +323,7 @@ def build_profiles(
         failures=[r for r in ordered_results if not isinstance(r, PairProfile)],
         cache_hits=len(ordered) - len(pending),
         cache_misses=len(pending),
-        cache_corrupt=cache.corrupt if cache is not None else 0,
+        cache_corrupt=cache.corrupt,
     )
 
 
@@ -354,8 +361,18 @@ def regression_table(profiles: Sequence[PairProfile], config: PipelineConfig) ->
         for p in profiles
         if not config.regression_30y or (p.career_30y_mte and p.pre_1990_mte)
     ]
-    cols = ("mentee_total_impact", *LADDER_COLUMNS)
+    cols = (LADDER_OUTCOME, *LADDER_COLUMNS)
     return {c: [float(getattr(p, c)) for p in selected] for c in cols}
+
+
+CAREER_COLUMNS = ("role", "career_year", "yearly", "cumulative")
+
+
+def career_rows(profile: PairProfile) -> Iterator[tuple[object, ...]]:
+    """The CAREER_COLUMNS rows of one pair's mentee and mentor series."""
+    for role, series in (("mentee", profile.mentee_series), ("mentor", profile.mentor_series)):
+        for y in range(len(series.yearly)):
+            yield role, y, series.yearly[y], series.cumulative[y]
 
 
 def cohort_outputs(
@@ -476,13 +493,8 @@ def cohort_outputs(
     # Per-pair career series (long format) and cohort averages by group.
     emit(
         "pair_series.csv",
-        ["mentor_id", "mentee_id", "role", "career_year", "yearly", "cumulative"],
-        [
-            (p.mentor_id, p.mentee_id, role, y, series.yearly[y], series.cumulative[y])
-            for p in profiles
-            for role, series in (("mentee", p.mentee_series), ("mentor", p.mentor_series))
-            for y in range(len(series.yearly))
-        ],
+        ["mentor_id", "mentee_id", *CAREER_COLUMNS],
+        [(p.mentor_id, p.mentee_id, *row) for p in profiles for row in career_rows(p)],
     )
 
     series_rows: list[Sequence[object]] = []
@@ -530,16 +542,13 @@ def cohort_outputs(
 
     # Distance-impact curve and quadratic fit on the regression cohort.
     table = regression_table(profiles, config)
-    xs = [
-        x
-        for x, y in zip(table["ave_distance"], table["mentee_total_impact"])
+    points = [
+        (x, y)
+        for x, y in zip(table["ave_distance"], table[LADDER_OUTCOME])
         if math.isfinite(x) and math.isfinite(y)
     ]
-    ys = [
-        y
-        for x, y in zip(table["ave_distance"], table["mentee_total_impact"])
-        if math.isfinite(x) and math.isfinite(y)
-    ]
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
 
     def curve_rows() -> list[Sequence[object]]:
         curve = equal_count_bins(xs, ys, n_bins=config.n_bins)
@@ -548,24 +557,8 @@ def cohort_outputs(
             for i in range(len(curve.mean_x))
         ]
 
-    def fit_rows() -> list[Sequence[object]]:
-        fit = fit_quadratic(xs, ys)
-        return [
-            (
-                fit.intercept,
-                fit.slope,
-                fit.curvature,
-                fit.p_curvature,
-                fit.peak_x,
-                fit.inverted_u,
-                fit.n,
-            )
-        ]
-
     def regression_rows() -> list[Sequence[object]]:
-        ladder = fit_model_ladder(
-            table, outcome="mentee_total_impact", log1p_outcome=config.log1p_outcome
-        )
+        ladder = fit_model_ladder(table, log1p_outcome=config.log1p_outcome)
         return [
             (
                 model_name,
@@ -586,8 +579,8 @@ def cohort_outputs(
     emit_guarded("curve.csv", ["bin", "mean_x", "mean_y", "count"], curve_rows)
     emit_guarded(
         "fit.csv",
-        ["intercept", "slope", "curvature", "p_curvature", "peak_x", "inverted_u", "n"],
-        fit_rows,
+        [f.name for f in dc_fields(QuadraticFit)],
+        lambda: [astuple(fit_quadratic(xs, ys))],
     )
     emit_guarded(
         "regression.csv",
@@ -614,6 +607,10 @@ class RunResult:
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Ingest, per-pair stage, cohort stage, report bundle, manifest."""
+    if config.n_bins < 1:
+        raise InvalidConfig(f"config key 'n_bins': {config.n_bins} is below 1")
+    if not 0.0 <= config.top_fraction <= 1.0:
+        raise InvalidConfig(f"config key 'top_fraction': {config.top_fraction} is outside [0, 1]")
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

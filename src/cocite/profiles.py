@@ -229,8 +229,8 @@ def build_pair_profile(
         t: math.fsum(share for _, share, k in mentor_rows if k is t) for t in MENTOR_TYPES
     }
 
-    flags_mte = cohort_flags(mentee_id, index, min_papers=0)
-    flags_mto = cohort_flags(mentor_id, index, min_papers=0)
+    flags_mte = cohort_flags(mentee_id, index)
+    flags_mto = cohort_flags(mentor_id, index)
     mentee_series = build_career_series(
         [(y, s) for y, s, _ in mentee_rows], flags_mte.career_len
     )

@@ -176,12 +176,9 @@ def _independent_columns(x: np.ndarray, names: Sequence[str]) -> list[str]:
     return redundant
 
 
-def fit_ols(
-    columns: Mapping[str, Sequence[float]],
-    y: Sequence[float],
-    intercept: bool = True,
-) -> OlsResult:
-    """Classical OLS with analytic standard errors and two-sided t tests.
+def fit_ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> OlsResult:
+    """Classical OLS with an intercept, analytic standard errors and
+    two-sided t tests.
 
     Raises TooFewRows when there are not enough rows for one residual
     degree of freedom, RankDeficient (naming the offending columns) when
@@ -195,11 +192,8 @@ def fit_ols(
     for name, col in zip(names, cols):
         if col.size != n:
             raise EmptyInput(f"column {name} length {col.size} != {n}")
-    if intercept:
-        design = np.column_stack([np.ones(n)] + cols)
-        names = ["intercept"] + names
-    else:
-        design = np.column_stack(cols)
+    design = np.column_stack([np.ones(n)] + cols)
+    names = ["intercept"] + names
     k = design.shape[1]
     if n < k + 1:
         raise TooFewRows(f"{n} rows for {k} parameters")
@@ -210,10 +204,7 @@ def fit_ols(
     resid = ya - design @ beta
     rss = float(resid @ resid)
     df = n - k
-    if intercept:
-        tss = float(np.sum((ya - ya.mean()) ** 2))
-    else:
-        tss = float(ya @ ya)
+    tss = float(np.sum((ya - ya.mean()) ** 2))
     if tss == 0:
         raise DegenerateX("outcome has zero variance")
     sigma2 = rss / df
@@ -227,7 +218,7 @@ def fit_ols(
 
     p_vals = 2.0 * stdtr(df, -np.abs(t_stats))
     r2 = 1.0 - rss / tss
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df if intercept else math.nan
+    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df
     return OlsResult(
         names=tuple(names),
         beta=tuple(float(b) for b in beta),
@@ -299,6 +290,9 @@ MODEL_LADDER: tuple[tuple[str, tuple[str, ...]], ...] = (
     ),
 )
 
+# The outcome every ladder model explains.
+LADDER_OUTCOME = "mentee_total_impact"
+
 # Every column some ladder model uses, in order of first use.
 LADDER_COLUMNS: tuple[str, ...] = tuple(dict.fromkeys(c for _, cols in MODEL_LADDER for c in cols))
 
@@ -309,32 +303,27 @@ class LadderResult:
     n_rows: int
     n_dropped: int
 
-    def r2_sequence(self) -> tuple[float, ...]:
-        return tuple(res.r2 for _, res in self.models)
-
 
 def fit_model_ladder(
-    table: Mapping[str, Sequence[float]],
-    outcome: str = "mentee_total_impact",
-    log1p_outcome: bool = False,
+    table: Mapping[str, Sequence[float]], log1p_outcome: bool = False
 ) -> LadderResult:
     """Fit the whole model ladder on one shared complete-case row set.
 
     Rows with a non-finite value in the outcome or in any column used by
     any ladder model are dropped once, up front.
     """
-    needed = list(dict.fromkeys((outcome, *LADDER_COLUMNS)))
+    needed = (LADDER_OUTCOME, *LADDER_COLUMNS)
     arrays = {}
     for c in needed:
         if c not in table:
             raise EmptyInput(f"missing column {c}")
         arrays[c] = np.asarray(table[c], dtype=float)
-    n_total = arrays[outcome].size
+    n_total = arrays[LADDER_OUTCOME].size
     mask = np.ones(n_total, dtype=bool)
     for c in needed:
         mask &= np.isfinite(arrays[c])
     n_rows = int(mask.sum())
-    y = arrays[outcome][mask]
+    y = arrays[LADDER_OUTCOME][mask]
     if log1p_outcome:
         y = np.log1p(y)
     models = []

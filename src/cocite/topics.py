@@ -11,6 +11,7 @@ follows from the counts of shared and new topics.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -53,24 +54,6 @@ class TopicTyping:
     proportions: dict[int, float]
     median_proportion: float | None
     degenerate_median: bool
-
-    def topics_of_type(self, kind: TopicType) -> list[int]:
-        return sorted(j for j, t in self.type_of.items() if t is kind)
-
-    def shared_topics(self) -> list[int]:
-        return sorted(
-            j for j, t in self.type_of.items()
-            if t in (TopicType.PRIMARY, TopicType.SECONDARY)
-        )
-
-    def new_topics(self) -> list[int]:
-        return self.topics_of_type(TopicType.NEW)
-
-    def mentor_only_topics(self) -> list[int]:
-        return self.topics_of_type(TopicType.MENTOR_ONLY)
-
-    def mentee_topics(self) -> list[int]:
-        return sorted(j for j, t in self.type_of.items() if t is not TopicType.MENTOR_ONLY)
 
 
 @dataclass(frozen=True)
@@ -144,8 +127,9 @@ def classify_strategy(typing: TopicTyping) -> StrategyRecord:
     Pure follow means every mentee topic is shared with the mentor; pure
     innovate means none is. The ratio is new / (new + shared).
     """
-    n_shared = len(typing.shared_topics())
-    n_new = len(typing.new_topics())
+    kinds = Counter(typing.type_of.values())
+    n_shared = kinds[TopicType.PRIMARY] + kinds[TopicType.SECONDARY]
+    n_new = kinds[TopicType.NEW]
     if n_shared + n_new == 0:
         raise MenteeNoTopics("mentee has no retained topics")
     if n_new == 0:

@@ -8,14 +8,18 @@ forward reference scans) so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter, deque
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from cocite.corpus import CitationIndex, PaperRecord, index_from_records
-from cocite.pairgraph import PairGraph
+from cocite.community import TopicAssignment
+from cocite.corpus import CitationIndex, PaperRecord
+from cocite.pairgraph import MENTEE_SIDE, MENTOR_SIDE, Authorship, PairGraph
 
 
 def paper(pid, authors, year=2000, field="f", refs=()) -> PaperRecord:
@@ -25,7 +29,247 @@ def paper(pid, authors, year=2000, field="f", refs=()) -> PaperRecord:
 
 
 def make_index(*records: PaperRecord) -> CitationIndex:
-    return index_from_records(records)
+    return CitationIndex(records)
+
+
+def side_nodes(graph: PairGraph, side: tuple[Authorship, ...]) -> list[str]:
+    """Nodes whose label is on `side` (MENTEE_SIDE or MENTOR_SIDE), in node
+    order; joint papers are on both sides."""
+    return [n for n in graph.nodes if graph.labels[n] in side]
+
+
+# ---------------------------------------------------------------------------
+# direct graph construction (no corpus round-trip)
+
+
+def graph_from_edges(
+    labels: Mapping[str, Authorship],
+    edges: Iterable[tuple[str, str]],
+    mentor_id: str = "R",
+    mentee_id: str = "E",
+) -> PairGraph:
+    """Assemble a PairGraph straight from labels and an edge list.
+
+    Co-citing sources get a placeholder entry per edge; builders that care
+    about sources go through a real corpus instead.
+    """
+    nodes = tuple(sorted(labels))
+    adj: dict[str, set[str]] = {n: set() for n in nodes}
+    sources: dict[tuple[str, str], tuple[str, ...]] = {}
+    for u, v in edges:
+        if u == v:
+            continue
+        a, b = (u, v) if u < v else (v, u)
+        adj[a].add(b)
+        adj[b].add(a)
+        sources[(a, b)] = ("src",)
+    return PairGraph(
+        mentor_id=mentor_id,
+        mentee_id=mentee_id,
+        nodes=nodes,
+        labels=dict(labels),
+        adjacency={n: tuple(sorted(s)) for n, s in adj.items()},
+        cociting_sources=dict(sorted(sources.items())),
+    )
+
+
+def planted_partition_pair_graph(
+    seed: int,
+    n_blocks: int = 4,
+    block_size: int = 15,
+    p_in: float = 0.9,
+    p_out: float = 0.02,
+) -> tuple[PairGraph, dict[str, int]]:
+    """Random graph with planted dense blocks and sparse cross links."""
+    rng = random.Random(seed)
+    labels: dict[str, Authorship] = {}
+    block_of: dict[str, int] = {}
+    for b in range(n_blocks):
+        for k in range(block_size):
+            node = f"b{b}n{k:02d}"
+            labels[node] = Authorship.MENTEE if (b * block_size + k) % 2 == 0 else Authorship.MENTOR
+            block_of[node] = b
+    nodes = sorted(labels)
+    edges = []
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            p = p_in if block_of[u] == block_of[v] else p_out
+            if rng.random() < p:
+                edges.append((u, v))
+    return graph_from_edges(labels, edges), block_of
+
+
+def random_pair_graph(seed: int, max_nodes: int = 50) -> PairGraph:
+    """Random sparse pair graph; both sides guaranteed non-empty."""
+    rng = random.Random(seed)
+    n = rng.randint(1, max_nodes)
+    nodes = [f"n{k:02d}" for k in range(n)]
+    labels = {
+        node: rng.choice((Authorship.MENTEE, Authorship.MENTOR, Authorship.JOINT))
+        for node in nodes
+    }
+    if not any(lab in MENTEE_SIDE for lab in labels.values()) or not any(
+        lab in MENTOR_SIDE for lab in labels.values()
+    ):
+        labels[nodes[0]] = Authorship.JOINT
+    p = rng.uniform(0.02, 0.3)
+    edges = []
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            if rng.random() < p:
+                edges.append((u, v))
+    return graph_from_edges(labels, edges)
+
+
+# ---------------------------------------------------------------------------
+# random pair corpora for oracle comparisons
+
+
+def random_pair_corpus(
+    seed: int,
+    max_papers: int = 30,
+    max_citers: int = 200,
+) -> tuple[CitationIndex, str, str, TopicAssignment]:
+    """Small random corpus around one pair, plus an arbitrary topic split.
+
+    Pair papers may cite each other (so pair papers can co-cite), citers
+    cite 1 to 5 pair papers, topics are a random partition with a few
+    papers possibly left unassigned. Returns (index, mentor_id, mentee_id,
+    assignment).
+    """
+    rng = random.Random(seed)
+    mentor_id, mentee_id = "R", "E"
+    pool = [f"co{k}" for k in range(5)]
+    n = rng.randint(4, max_papers)
+    kinds = [rng.choice(("mte", "mto", "joint")) for _ in range(n)]
+    if not any(k in ("mte", "joint") for k in kinds):
+        kinds[0] = "mte"
+    if not any(k in ("mto", "joint") for k in kinds):
+        kinds[-1] = "mto"
+
+    pair_ids = [f"w{k:03d}" for k in range(n)]
+    records: list[PaperRecord] = []
+    for pid, kind in zip(pair_ids, kinds):
+        if kind == "mte":
+            authors = [mentee_id]
+        elif kind == "mto":
+            authors = [mentor_id]
+        else:
+            authors = [mentee_id, mentor_id]
+        authors += rng.sample(pool, rng.randint(0, 2))
+        others = [q for q in pair_ids if q != pid]
+        refs = rng.sample(others, rng.randint(0, min(3, len(others))))
+        records.append(
+            PaperRecord(pid, tuple(authors), rng.randint(1970, 2015), "f", tuple(refs))
+        )
+    n_citers = rng.randint(0, max_citers)
+    for c in range(n_citers):
+        refs = rng.sample(pair_ids, rng.randint(1, min(5, n)))
+        records.append(
+            PaperRecord(
+                f"c{c:04d}",
+                (f"ca{c:04d}",),
+                rng.randint(1971, 2021),
+                "f",
+                tuple(refs),
+            )
+        )
+    index = CitationIndex(records)
+
+    n_topics = rng.randint(1, 4)
+    topic_of: dict[str, int | None] = {}
+    members: dict[int, list[str]] = {}
+    for pid in pair_ids:
+        if rng.random() < 0.1:
+            topic_of[pid] = None
+            continue
+        t = rng.randrange(n_topics)
+        topic_of[pid] = t
+        members.setdefault(t, []).append(pid)
+    # Dense ids ordered by descending size then smallest member id.
+    ordered = sorted(
+        (sorted(ms) for ms in members.values()), key=lambda ms: (-len(ms), ms[0])
+    )
+    dense_of: dict[str, int | None] = {pid: None for pid in pair_ids}
+    topics: dict[int, tuple[str, ...]] = {}
+    for i, ms in enumerate(ordered):
+        topics[i] = tuple(ms)
+        for pid in ms:
+            dense_of[pid] = i
+    assignment = TopicAssignment(topic_of=dense_of, topics=topics, modularity_q=0.0)
+    return index, mentor_id, mentee_id, assignment
+
+
+@dataclass(frozen=True)
+class OracleTopicImpact:
+    pool: frozenset[str]
+    w: dict[str, int]
+    c_mentee: float
+    c_mentor: float
+    c_mentee_exact: Fraction
+    c_mentor_exact: Fraction
+
+
+@dataclass(frozen=True)
+class OracleImpact:
+    topics: dict[int, OracleTopicImpact]
+    mentee_total: float
+    mentor_total: float
+
+
+def oracle_impact(
+    index: CitationIndex,
+    labels: Mapping[str, Authorship],
+    topics: Mapping[int, Sequence[str]],
+) -> OracleImpact:
+    """Impact allocation recomputed by exhaustive forward scans.
+
+    Pools come from scanning every corpus paper's reference list against
+    each topic's member set; per-paper scores recount citations the same
+    way. Totals are kept both as exact rationals and as fsum of the float
+    shares.
+    """
+    out: dict[int, OracleTopicImpact] = {}
+    mentee_shares: list[float] = []
+    mentor_shares: list[float] = []
+    for topic_id in sorted(topics):
+        member_set = set(topics[topic_id])
+        pool = set()
+        for q, refs in index.citing_map.items():
+            if len(member_set.intersection(refs)) >= 2:
+                pool.add(q)
+        w: dict[str, int] = {}
+        for p in member_set:
+            w[p] = sum(1 for q in pool if p in index.citing_map[q])
+        c_e: list[float] = []
+        c_r: list[float] = []
+        c_e_exact = Fraction(0)
+        c_r_exact = Fraction(0)
+        for p in sorted(member_set):
+            s = index.meta(p).author_count
+            share = w[p] / s
+            exact = Fraction(w[p], s)
+            if labels[p] in MENTEE_SIDE:
+                c_e.append(share)
+                c_e_exact += exact
+            if labels[p] in MENTOR_SIDE:
+                c_r.append(share)
+                c_r_exact += exact
+        mentee_shares.extend(c_e)
+        mentor_shares.extend(c_r)
+        out[topic_id] = OracleTopicImpact(
+            pool=frozenset(pool),
+            w=w,
+            c_mentee=math.fsum(c_e),
+            c_mentor=math.fsum(c_r),
+            c_mentee_exact=c_e_exact,
+            c_mentor_exact=c_r_exact,
+        )
+    return OracleImpact(
+        topics=out,
+        mentee_total=math.fsum(mentee_shares),
+        mentor_total=math.fsum(mentor_shares),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +320,8 @@ def oracle_average_distance(
     finite = off_diag[np.isfinite(off_diag)]
     max_finite = int(finite.max()) if finite.size else None
 
-    mentee = graph.mentee_nodes()
-    mentor = graph.mentor_nodes()
+    mentee = side_nodes(graph, MENTEE_SIDE)
+    mentor = side_nodes(graph, MENTOR_SIDE)
     total = 0
     n_pairs = 0
     n_disc = 0

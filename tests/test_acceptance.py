@@ -23,17 +23,19 @@ from cocite.impact import allocate_impact
 from cocite.pairgraph import Authorship, build_pair_graph
 from cocite.pipeline import PipelineConfig, build_profiles, corpus_digest
 from cocite.stats import ccdf, equal_count_bins, fit_model_ladder, fit_quadratic, quadrant_counts, ternary_shares
-from cocite.synth import (
+from cocite.synth import planted_regression_cohort
+from cocite.topics import Strategy, classify_strategy, classify_topics
+
+from helpers import (
     graph_from_edges,
+    naive_modularity,
+    nmi,
+    oracle_average_distance,
     oracle_impact,
     planted_partition_pair_graph,
-    planted_regression_cohort,
     random_pair_corpus,
     random_pair_graph,
 )
-from cocite.topics import Strategy, classify_strategy, classify_topics
-
-from helpers import naive_modularity, nmi, oracle_average_distance
 
 E = Authorship.MENTEE
 R = Authorship.MENTOR
@@ -199,7 +201,7 @@ def test_criterion_6_regression_recovers_planted_model(capsys):
         t0 = time.monotonic()
         table, truth = planted_regression_cohort(seed=42, n=2000)
         ladder = fit_model_ladder(table)
-        r2 = ladder.r2_sequence()
+        r2 = [res.r2 for _, res in ladder.models]
         assert all(a <= b + 1e-12 for a, b in zip(r2, r2[1:]))
         full = dict(ladder.models)["m6_full"]
         for name in full.names:
@@ -240,7 +242,7 @@ def test_criterion_8_pipeline_is_deterministic_and_cached(capsys, cli_bundle):
         assert warm_stats["cache_misses"] == 0
 
 
-def test_criterion_9_cohort_conservation(capsys, cli_bundle):
+def test_criterion_9_cohort_conservation(capsys, cli_bundle, tmp_path):
     with verdict(capsys, 9):
         _, corpus, _, _ = cli_bundle
         config = PipelineConfig(
@@ -249,7 +251,7 @@ def test_criterion_9_cohort_conservation(capsys, cli_bundle):
         )
         result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
         digest = corpus_digest(config.papers, config.mentorships)
-        stage = build_profiles(result.index, result.mentorships, config, digest, None)
+        stage = build_profiles(result.index, result.mentorships, config, digest, tmp_path / "cache")
         assert stage.profiles and not stage.failures
 
         for p in stage.profiles:

@@ -1,5 +1,6 @@
 """Command-line interface, end to end and in process."""
 
+import csv
 import json
 
 import pytest
@@ -131,7 +132,24 @@ class TestErrors:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("line", ["min_papers=abc", "gamma=none"])
+    def test_directory_as_corpus_exits_two(self, corpus_dir, tmp_path, capsys):
+        code = main(
+            [
+                "run",
+                "--papers",
+                str(corpus_dir),
+                "--mentorships",
+                str(corpus_dir / "mentorships.jsonl"),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["min_papers=abc", "gamma=none", "n_bins=0", "top_fraction=1.5"]
+    )
     def test_unparsable_config_value_exits_two(self, corpus_dir, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
@@ -305,6 +323,18 @@ class TestRunCommand:
             for row in lines[1:]
         ]
         assert keys == sorted(keys)
+
+    def test_failure_reasons_with_commas_stay_one_field(self, corpus_dir, tmp_path):
+        # No topic survives, so every pair fails with a reason holding a comma.
+        out = tmp_path / "fail"
+        flags = ["--out", str(out), "--min-community-size", "10000"]
+        assert main(["run", *corpus_args(corpus_dir), *flags]) == 0
+        with (out / "failures.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["mentor_id", "mentee_id", "stage", "reason"]
+        assert len(rows) == 4
+        for mentor, mentee, stage, reason in rows:
+            assert (stage, reason) == ("detect", f"pair ({mentor}, {mentee}) kept no topics")
 
     def test_ingest_command(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "ing"

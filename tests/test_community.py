@@ -13,10 +13,9 @@ from cocite.community import (
     modularity,
 )
 from cocite.errors import PartitionMismatch
-from cocite.synth import graph_from_edges, planted_partition_pair_graph
 from cocite.pairgraph import Authorship
 
-from helpers import naive_modularity, nmi
+from helpers import graph_from_edges, naive_modularity, nmi, planted_partition_pair_graph
 
 
 def weighted(edges, nodes=()):

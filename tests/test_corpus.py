@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocite.corpus import (
+    CitationIndex,
     CohortFlags,
     IngestConfig,
     cohort_flags,
     five_year_citations,
-    index_from_records,
     ingest_corpus,
 )
 from cocite.errors import (
@@ -65,7 +65,7 @@ class TestIngest:
         result = ingest_corpus(ppath, mpath, BASE_CFG)
         idx = result.index
         assert idx.n_papers == 3
-        assert idx.references_of("p3") == ("p1", "p2")
+        assert idx.citing_map["p3"] == ("p1", "p2")
         assert idx.citers_of("p2") == ("p1", "p3")
         assert idx.papers_of("a1") == ("p2", "p1")  # sorted by year
         assert idx.meta("p2").author_count == 2
@@ -79,7 +79,7 @@ class TestIngest:
         ]
         ppath, mpath = write_corpus(tmp_path, papers, [mship_obj("a1", "a2")])
         result = ingest_corpus(ppath, mpath, BASE_CFG)
-        assert not result.index.has_paper("p1")
+        assert "p1" not in result.index.paper_meta
         assert result.report.count("papers", "year_out_of_window") == 1
         assert result.report.count("papers", "ingested") == 2
 
@@ -92,7 +92,7 @@ class TestIngest:
         ppath, mpath = write_corpus(tmp_path, papers, ments)
         cfg = IngestConfig(min_papers=0, field="x")
         result = ingest_corpus(ppath, mpath, cfg)
-        assert result.index.has_paper("p1") and not result.index.has_paper("p2")
+        assert set(result.index.paper_meta) == {"p1"}
         assert result.report.count("papers", "field_filtered") == 1
         assert result.report.count("mentorships", "field_filtered") == 1
         assert len(result.mentorships) == 1
@@ -118,7 +118,7 @@ class TestIngest:
         papers = [paper_obj("p1", ["a1"], refs=["p1", "p2", "p2"]), paper_obj("p2", ["a2"])]
         ppath, mpath = write_corpus(tmp_path, papers, [mship_obj("a1", "a2")])
         result = ingest_corpus(ppath, mpath, BASE_CFG)
-        assert result.index.references_of("p1") == ("p2",)
+        assert result.index.citing_map["p1"] == ("p2",)
         assert result.report.count("papers", "self_reference_removed") == 1
         assert result.report.count("papers", "duplicate_reference_removed") == 1
 
@@ -188,7 +188,7 @@ class TestIndex:
 
     def test_dangling_refs_kept_forward_only(self):
         idx = make_index(paper("p1", "a", refs=("ghost",)))
-        assert idx.references_of("p1") == ("ghost",)
+        assert idx.citing_map["p1"] == ("ghost",)
         with pytest.raises(UnknownPaper):
             idx.citers_of("ghost")
 
@@ -211,7 +211,7 @@ class TestIndex:
             )
             refs = [r for r in refs if r != pid]
             records.append(paper(pid, "a", refs=tuple(refs)))
-        idx = index_from_records(records)
+        idx = CitationIndex(records)
         for p in ids:
             for q in ids:
                 assert (q in idx.cited_by_map[p]) == (p in idx.citing_map[q])
@@ -225,9 +225,8 @@ class TestCohortFlags:
             paper("p2", "a", year=2011),
             paper("p3", "a", year=1995),
         )
-        flags = cohort_flags("a", idx, min_papers=3)
+        flags = cohort_flags("a", idx)
         assert flags == CohortFlags(
-            is_eligible_author=True,
             first_pub_year=1980,
             career_len=31,
             pre_1990_starter=True,
@@ -236,8 +235,7 @@ class TestCohortFlags:
 
     def test_short_career(self):
         idx = make_index(paper("p1", "a", year=1992), paper("p2", "a", year=2000))
-        flags = cohort_flags("a", idx, min_papers=3)
-        assert not flags.is_eligible_author
+        flags = cohort_flags("a", idx)
         assert not flags.pre_1990_starter
         assert not flags.career_30y
         assert flags.career_len == 8

@@ -9,9 +9,14 @@ from cocite import distance
 from cocite.distance import average_distance
 from cocite.errors import NoFinitePaths
 from cocite.pairgraph import Authorship
-from cocite.synth import graph_from_edges, random_pair_graph
 
-from helpers import bfs_distances, bfs_max_finite_distance, oracle_average_distance
+from helpers import (
+    bfs_distances,
+    bfs_max_finite_distance,
+    graph_from_edges,
+    oracle_average_distance,
+    random_pair_graph,
+)
 
 E = Authorship.MENTEE
 R = Authorship.MENTOR

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocite.community import TopicAssignment
-from cocite.errors import UnknownTopic
 from cocite.impact import allocate_impact, cociting_pool
 from cocite.pairgraph import MENTEE_SIDE, build_pair_graph
-from cocite.synth import oracle_impact, random_pair_corpus
 
-from helpers import make_index, paper
+from helpers import make_index, oracle_impact, paper, random_pair_corpus
 
 
 def assignment_for(topics):
@@ -52,7 +50,7 @@ class TestHandValues:
     def test_scores_and_shares(self):
         index, graph, assignment = hand_fixture()
         alloc = allocate_impact(graph, assignment, index)
-        topic = alloc.topic(0)
+        topic = alloc.topics[0]
         assert topic.p_j_size == 3
         w = {r.paper_id: r.w for r in topic.rows}
         assert w == {"e1": 2, "r1": 2, "j1": 2}
@@ -74,7 +72,7 @@ class TestHandValues:
         )
         graph = build_pair_graph("R", "E", index)
         alloc = allocate_impact(graph, assignment_for({0: ["e1", "e2", "r1"]}), index)
-        w = {r.paper_id: r.w for r in alloc.topic(0).rows}
+        w = {r.paper_id: r.w for r in alloc.topics[0].rows}
         assert w == {"e1": 1, "e2": 1, "r1": 0}
         assert alloc.mentor_total == 0.0
 
@@ -92,23 +90,17 @@ class TestHandValues:
         alloc = allocate_impact(
             graph, assignment_for({0: ["e1", "e2"], 1: ["r1", "r2"]}), index
         )
-        assert alloc.topic(0).pool == ("c2",)
-        assert alloc.topic(1).pool == ()
-
-    def test_unknown_topic(self):
-        index, graph, assignment = hand_fixture()
-        alloc = allocate_impact(graph, assignment, index)
-        with pytest.raises(UnknownTopic):
-            alloc.topic(99)
+        assert alloc.topics[0].pool == ("c2",)
+        assert alloc.topics[1].pool == ()
 
     def test_unassigned_papers_excluded(self):
         index, graph, _ = hand_fixture()
         assignment = assignment_for({0: ["e1", "r1"]})  # j1 left out
         alloc = allocate_impact(graph, assignment, index)
-        ids = [r.paper_id for r in alloc.topic(0).rows]
+        ids = [r.paper_id for r in alloc.topics[0].rows]
         assert "j1" not in ids
         # Pool only needs >=2 members among {e1, r1}: c2 and c4 cite one each.
-        assert alloc.topic(0).pool == ("c1",)
+        assert alloc.topics[0].pool == ("c1",)
 
 
 class TestConservation:

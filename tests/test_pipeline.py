@@ -94,8 +94,15 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             apply_config_values(config, {"elite_global": "maybe"})
         # Values that do not parse name their key; none/null only where the
-        # field's type admits None.
-        for key, raw in (("min_papers", "abc"), ("gamma", "none"), ("workers", "null")):
+        # field's type admits None; floats must be finite.
+        for key, raw in (
+            ("min_papers", "abc"),
+            ("gamma", "none"),
+            ("workers", "null"),
+            ("gamma", "nan"),
+            ("gamma", "inf"),
+            ("top_fraction", "-inf"),
+        ):
             with pytest.raises(InvalidConfig, match=repr(key)):
                 apply_config_values(config, {key: raw})
         assert config == PipelineConfig()
@@ -106,6 +113,13 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b", "c", "d"], [(0.1, True, None, "x")])
         assert path.read_text() == "a,b,c,d\n0.1,true,,x\n"
+
+    def test_special_characters_are_quoted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        row = ("a,b", 'say "hi"', "two\nlines")
+        write_csv(path, ["x", "y", "z"], [row])
+        with path.open(newline="") as fh:
+            assert list(csv.reader(fh)) == [["x", "y", "z"], list(row)]
 
     def test_float_repr_round_trips(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -164,20 +178,12 @@ class TestBuildProfiles:
             assert stage.cache_hits == 0
             assert stage.cache_misses == len(result.mentorships) > 0
 
-    def test_no_cache_dir_always_builds(self, corpus_dir, tmp_path):
-        config = make_config(corpus_dir, tmp_path)
-        result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
-        digest = corpus_digest(config.papers, config.mentorships)
-        stage = build_profiles(result.index, result.mentorships, config, digest, None)
-        assert stage.cache_hits == 0
-        assert len(stage.profiles) == len(result.mentorships)
-
     def test_output_order_is_sorted(self, corpus_dir, tmp_path):
         config = make_config(corpus_dir, tmp_path)
         result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
         digest = corpus_digest(config.papers, config.mentorships)
         shuffled = list(reversed(result.mentorships))
-        stage = build_profiles(result.index, shuffled, config, digest, None)
+        stage = build_profiles(result.index, shuffled, config, digest, tmp_path / "cache")
         keys = [(p.field, p.mentor_id, p.mentee_id) for p in stage.profiles]
         assert keys == sorted(keys)
 
@@ -187,7 +193,7 @@ class TestElites:
         config = make_config(corpus_dir, tmp_path, top_fraction=0.5)
         result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
         digest = corpus_digest(config.papers, config.mentorships)
-        stage = build_profiles(result.index, result.mentorships, config, digest, None)
+        stage = build_profiles(result.index, result.mentorships, config, digest, tmp_path / "cache")
         assign_elites(stage.profiles, config)
         assert all(p.is_elite is not None for p in stage.profiles)
         assert all(p.outperforming is not None for p in stage.profiles)
@@ -204,7 +210,7 @@ class TestTables:
         config = make_config(corpus_dir, tmp_path)
         result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
         digest = corpus_digest(config.papers, config.mentorships)
-        stage = build_profiles(result.index, result.mentorships, config, digest, None)
+        stage = build_profiles(result.index, result.mentorships, config, digest, tmp_path / "cache")
         header, rows = profile_table(stage.profiles)
         for required in ("R", "C_e_total", "C_r_total", "ave_distance", "strategy"):
             assert required in header
@@ -215,7 +221,7 @@ class TestTables:
         config = make_config(corpus_dir, tmp_path)
         result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
         digest = corpus_digest(config.papers, config.mentorships)
-        stage = build_profiles(result.index, result.mentorships, config, digest, None)
+        stage = build_profiles(result.index, result.mentorships, config, digest, tmp_path / "cache")
         open_table = regression_table(
             stage.profiles, make_config(corpus_dir, tmp_path, regression_30y=False)
         )

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from cocite.corpus import MentorshipRecord
+from cocite.corpus import CitationIndex, MentorshipRecord
 from cocite.errors import EmptyPair
 from cocite.pipeline import PipelineConfig
 from cocite.profiles import PairParams, PairProfile, build_pair_profile
@@ -17,7 +17,7 @@ from cocite.topics import TopicType
 @pytest.fixture(scope="module")
 def built():
     corpus = synthesize_corpus(SynthConfig(n_pairs=3, seed=11))
-    index = corpus.index()
+    index = CitationIndex(corpus.papers)
     profiles = {
         key: build_pair_profile(m, index)
         for key, m in zip(corpus.truths, corpus.mentorships)
@@ -86,7 +86,7 @@ class TestAssembly:
 
     def test_ghost_mentor_raises(self, built):
         corpus, _ = built
-        index = corpus.index()
+        index = CitationIndex(corpus.papers)
         ghost = MentorshipRecord("nobody", corpus.mentorships[0].mentee_id, 1980, "fieldA")
         with pytest.raises(EmptyPair):
             build_pair_profile(ghost, index)
@@ -125,7 +125,7 @@ class TestParams:
 
     def test_self_cocitation_knob_changes_the_graph(self, built):
         corpus, profiles = built
-        index = corpus.index()
+        index = CitationIndex(corpus.papers)
         m = corpus.mentorships[0]
         base = profiles[(m.mentor_id, m.mentee_id)]
         strict = build_pair_profile(

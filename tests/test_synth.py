@@ -1,4 +1,5 @@
-"""Synthetic corpus generators and their planted ground truth."""
+"""Synthetic corpus generators and their planted ground truth, and the
+random builders and impact oracle in helpers."""
 
 import json
 
@@ -6,22 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocite.community import detect_topics
-from cocite.corpus import IngestConfig, cohort_flags, ingest_corpus
+from cocite.corpus import CitationIndex, IngestConfig, cohort_flags, ingest_corpus
 from cocite.impact import allocate_impact
 from cocite.pairgraph import MENTEE_SIDE, MENTOR_SIDE, build_pair_graph
-from cocite.synth import (
-    SynthConfig,
-    oracle_impact,
-    planted_partition_pair_graph,
-    planted_regression_cohort,
-    random_pair_corpus,
-    random_pair_graph,
-    synthesize_corpus,
-    write_corpus,
-)
+from cocite.synth import SynthConfig, planted_regression_cohort, synthesize_corpus, write_corpus
 from cocite.topics import classify_strategy, classify_topics
 
-from helpers import make_index, paper
+from helpers import (
+    make_index,
+    oracle_impact,
+    paper,
+    planted_partition_pair_graph,
+    random_pair_corpus,
+    random_pair_graph,
+    side_nodes,
+)
 
 
 class TestDeterminism:
@@ -51,17 +51,17 @@ class TestPlantedPairs:
         assert result.report.count("mentorships", "dropped_ineligible") == 0
 
     def test_realized_careers_match_truth(self, corpus):
-        index = corpus.index()
+        index = CitationIndex(corpus.papers)
         for truth in corpus.truths.values():
-            mte = cohort_flags(truth.mentee_id, index, min_papers=0)
-            mto = cohort_flags(truth.mentor_id, index, min_papers=0)
+            mte = cohort_flags(truth.mentee_id, index)
+            mto = cohort_flags(truth.mentor_id, index)
             assert mte.first_pub_year == truth.mentee_first_year
             assert mte.career_len == truth.mentee_career_len
             assert mto.first_pub_year == truth.mentor_first_year
             assert mto.career_len == truth.mentor_career_len
 
     def test_detection_recovers_planted_topics(self, corpus):
-        index = corpus.index()
+        index = CitationIndex(corpus.papers)
         for (mentor, mentee), truth in corpus.truths.items():
             graph = build_pair_graph(mentor, mentee, index)
             assignment = detect_topics(graph)
@@ -72,7 +72,7 @@ class TestPlantedPairs:
             assert detected == {frozenset(ms) for ms in planted.values()}
 
     def test_planted_impact_matches_allocation(self, corpus):
-        index = corpus.index()
+        index = CitationIndex(corpus.papers)
         for (mentor, mentee), truth in corpus.truths.items():
             graph = build_pair_graph(mentor, mentee, index)
             assignment = detect_topics(graph)
@@ -92,7 +92,7 @@ class TestPlantedPairs:
             assert alloc.mentor_total == truth.mentor_total
 
     def test_planted_strategy_recovered(self, corpus):
-        index = corpus.index()
+        index = CitationIndex(corpus.papers)
         for (mentor, mentee), truth in corpus.truths.items():
             graph = build_pair_graph(mentor, mentee, index)
             assignment = detect_topics(graph)
@@ -104,7 +104,7 @@ class TestPlantedPairs:
             assert rec.new_topic_ratio == truth.new_topic_ratio
 
     def test_planted_primary_topics_recovered(self, corpus):
-        index = corpus.index()
+        index = CitationIndex(corpus.papers)
         for (mentor, mentee), truth in corpus.truths.items():
             graph = build_pair_graph(mentor, mentee, index)
             assignment = detect_topics(graph)
@@ -158,7 +158,7 @@ class TestGeneratorValidity:
     @given(seed=st.integers(0, 10_000))
     def test_random_pair_graph_has_both_sides(self, seed):
         g = random_pair_graph(seed)
-        assert g.mentee_nodes() and g.mentor_nodes()
+        assert side_nodes(g, MENTEE_SIDE) and side_nodes(g, MENTOR_SIDE)
         for u, nbrs in g.adjacency.items():
             for v in nbrs:
                 assert u in g.adjacency[v]
@@ -167,7 +167,7 @@ class TestGeneratorValidity:
     @given(seed=st.integers(0, 10_000))
     def test_random_pair_corpus_assignment_is_dense(self, seed):
         index, mentor, mentee, assignment = random_pair_corpus(seed)
-        assert index.has_author(mentor) and index.has_author(mentee)
+        assert mentor in index.author_papers and mentee in index.author_papers
         ids = sorted(assignment.topics)
         assert ids == list(range(len(ids)))
         sizes = [len(assignment.topics[j]) for j in ids]

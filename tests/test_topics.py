@@ -5,7 +5,6 @@ import pytest
 from cocite.community import TopicAssignment
 from cocite.errors import EmptyCohort, MenteeNoTopics, NoRetainedTopics
 from cocite.pairgraph import Authorship
-from cocite.synth import graph_from_edges
 from cocite.topics import (
     Strategy,
     TopicType,
@@ -17,7 +16,7 @@ from cocite.topics import (
     is_outperforming,
 )
 
-from helpers import make_index, paper
+from helpers import graph_from_edges, make_index, paper
 
 E = Authorship.MENTEE
 R = Authorship.MENTOR
@@ -101,10 +100,6 @@ class TestTyping:
             1: TopicType.SECONDARY,
             3: TopicType.SECONDARY,
         }
-        assert t.shared_topics() == [0, 1]
-        assert t.new_topics() == [2]
-        assert t.mentor_only_topics() == [3]
-        assert t.mentee_topics() == [0, 1, 2]
 
     def test_joint_paper_counts_on_both_sides(self):
         graph, assignment = typing_fixture({0: [J]})
