@@ -86,7 +86,7 @@ def typed_contributions(
         type_of = typing.mentor_side
     else:
         raise ValueError(f"unknown role {role!r}")
-    first_year = min(index.paper_meta[p].pub_year for p in index.papers_of(author))
+    first_year = min(index.pub_year[p] for p in index.author_papers[author])
     out: list[tuple[int, float, TopicType]] = []
     for topic in allocation.topics.values():
         kind = type_of.get(topic.topic_id)
@@ -95,7 +95,7 @@ def typed_contributions(
         for row in topic.rows:
             if row.authorship not in side:
                 continue
-            year = index.paper_meta[row.paper_id].pub_year - first_year
+            year = index.pub_year[row.paper_id] - first_year
             out.append((year, row.contribution, kind))
     return out
 

@@ -32,6 +32,7 @@ from .pipeline import (
     parse_setting,
     run_pipeline,
     write_csv,
+    write_ingest_report,
 )
 from .profiles import PairParams, build_pair_profile
 from .synth import SynthConfig, synthesize_corpus, write_corpus
@@ -144,7 +145,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result.report.write_csv(out / "ingest_report.csv")
+    write_ingest_report(out / "ingest_report.csv", result.report)
     print(f"papers indexed: {result.index.n_papers}")
     print(f"mentorships kept: {len(result.mentorships)}")
     print(f"report: {out / 'ingest_report.csv'}")

@@ -131,7 +131,8 @@ def _one_level(
             tot[best_comm] += k_i
             sweep_gain += (best_gain - stay_gain) / two_m * 2.0
         total_gain += sweep_gain
-        if sweep_gain < GAIN_EPS:
+        # Written so that a NaN gain (an extreme gamma gives inf - inf) stops.
+        if not sweep_gain >= GAIN_EPS:
             break
     return comm, total_gain
 
@@ -166,7 +167,7 @@ def louvain(adj: WeightedGraph, gamma: float = 1.0, seed: int = 0) -> dict[Hasha
     while True:
         comm, gained = _one_level(level_adj, gamma, rng)
         n_comms = len(set(comm.values()))
-        if n_comms == len(level_adj) or gained < GAIN_EPS:
+        if n_comms == len(level_adj) or not gained >= GAIN_EPS:
             final = {n: comm[mapping[n]] for n in mapping}
             # Renumber densely for stable downstream handling.
             ids = sorted(set(final.values()))
@@ -188,9 +189,8 @@ def detect_topics(graph: PairGraph, config: DetectionConfig | None = None) -> To
     cfg = config or DetectionConfig()
     weighted = graph.as_weighted()
     isolated = sorted(n for n, nbrs in weighted.items() if not nbrs)
-    connected = {
-        u: dict(nbrs) for u, nbrs in weighted.items() if nbrs
-    }
+    # louvain and modularity only read their input, so the rows are shared.
+    connected = {u: nbrs for u, nbrs in weighted.items() if nbrs}
 
     if connected:
         raw = louvain(connected, gamma=cfg.gamma, seed=cfg.seed)

@@ -3,26 +3,22 @@
 Input corpora are two JSONL files: one paper record per line
 (paper_id, author_ids, pub_year, field, reference_ids) and one mentorship
 record per line (mentor_id, mentee_id, start_year, field). Ingestion
-validates every line, applies the year window / field filter and the
-minimum-paper eligibility rule for mentorship pairs, and builds an
-immutable CitationIndex that all downstream analyses share read-only.
+validates every line, applies the year window / field filter, and streams
+each kept paper straight into a CitationIndex that all downstream analyses
+share read-only: who cites each paper, who wrote it, when, and which papers
+each author wrote. The minimum-paper eligibility rule for mentorship pairs
+is then checked against that index.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
-from .errors import (
-    DuplicatePaperId,
-    EmptyCorpus,
-    MalformedRecord,
-    UnknownAuthor,
-    UnknownPaper,
-)
+from .errors import DuplicatePaperId, EmptyCorpus, MalformedRecord
 
 # Hard validity bounds for any year value; records outside raise MalformedRecord.
 # The (narrower) ingest window in IngestConfig drops records silently and counts
@@ -68,113 +64,52 @@ class IngestConfig:
     field: str | None = None
 
 
-class PaperMeta(NamedTuple):
-    pub_year: int
-    author_count: int
-    field: str
-
-
-class IngestReport:
-    """Counter of (stage, reason) events observed during ingestion."""
-
-    def __init__(self):
-        self._counts: dict[tuple[str, str], int] = {}
-
-    def add(self, stage: str, reason: str, n: int = 1) -> None:
-        key = (stage, reason)
-        self._counts[key] = self._counts.get(key, 0) + n
-
-    def count(self, stage: str, reason: str) -> int:
-        return self._counts.get((stage, reason), 0)
-
-    def rows(self) -> list[tuple[str, str, int]]:
-        return [(s, r, c) for (s, r), c in sorted(self._counts.items())]
-
-    def write_csv(self, path: str | Path) -> None:
-        lines = ["stage,reason,count"]
-        lines += [f"{s},{r},{c}" for s, r, c in self.rows()]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 class CitationIndex:
-    """Immutable forward/backward citation maps over one corpus.
+    """Read-only citation maps over one corpus.
 
-    citing_map keeps the full (deduplicated) reference list of every corpus
-    paper, including ids that are not themselves corpus records; such dangling
-    ids carry no metadata and never act as co-citing sources. cited_by_map is
-    the transpose restricted to corpus papers on both ends. Construction is
-    single-writer; afterwards the index is treated as read-only and may be
-    shared freely across parallel workers.
+    cited_by_map lists, for every corpus paper, the corpus papers citing it,
+    sorted; references to ids that are not corpus records are dropped.
+    author_papers lists each author's papers by (pub_year, paper_id), and
+    paper_authors each paper's authors with repeats removed. Construction is
+    single-writer and consumes the records in one pass; afterwards the index
+    is treated as read-only and may be shared freely across parallel workers.
     """
 
-    __slots__ = ("citing_map", "cited_by_map", "author_papers", "paper_meta", "paper_authors")
+    __slots__ = ("cited_by_map", "author_papers", "paper_authors", "pub_year")
 
     def __init__(self, records: Iterable[PaperRecord]):
-        citing: dict[str, tuple[str, ...]] = {}
-        meta: dict[str, PaperMeta] = {}
+        pub_year: dict[str, int] = {}
         authors: dict[str, tuple[str, ...]] = {}
         by_author: dict[str, list[str]] = defaultdict(list)
+        cited_by: dict[str, list[str]] = defaultdict(list)
         for rec in records:
-            if rec.paper_id in meta:
-                raise DuplicatePaperId(rec.paper_id)
             uniq_authors = tuple(dict.fromkeys(rec.author_ids))
-            citing[rec.paper_id] = rec.reference_ids
-            meta[rec.paper_id] = PaperMeta(rec.pub_year, len(uniq_authors), rec.field)
+            pub_year[rec.paper_id] = rec.pub_year
             authors[rec.paper_id] = uniq_authors
             for a in uniq_authors:
                 by_author[a].append(rec.paper_id)
+            for ref in rec.reference_ids:
+                cited_by[ref].append(rec.paper_id)
 
-        cited_by: dict[str, list[str]] = {pid: [] for pid in meta}
-        for src, refs in citing.items():
-            for ref in refs:
-                if ref in meta:
-                    cited_by[ref].append(src)
-
-        self.citing_map = citing
-        self.cited_by_map = {pid: tuple(sorted(cs)) for pid, cs in cited_by.items()}
+        self.cited_by_map = {pid: tuple(sorted(cited_by.get(pid, ()))) for pid in pub_year}
         self.author_papers = {
-            a: tuple(sorted(ps, key=lambda p: (meta[p].pub_year, p)))
+            a: tuple(sorted(ps, key=lambda p: (pub_year[p], p)))
             for a, ps in by_author.items()
         }
-        self.paper_meta = meta
         self.paper_authors = authors
-
-    # -- lookups --------------------------------------------------------
-
-    def citers_of(self, paper_id: str) -> tuple[str, ...]:
-        try:
-            return self.cited_by_map[paper_id]
-        except KeyError:
-            raise UnknownPaper(paper_id) from None
-
-    def papers_of(self, author_id: str) -> tuple[str, ...]:
-        try:
-            return self.author_papers[author_id]
-        except KeyError:
-            raise UnknownAuthor(author_id) from None
-
-    def authors_of(self, paper_id: str) -> tuple[str, ...]:
-        try:
-            return self.paper_authors[paper_id]
-        except KeyError:
-            raise UnknownPaper(paper_id) from None
-
-    def meta(self, paper_id: str) -> PaperMeta:
-        try:
-            return self.paper_meta[paper_id]
-        except KeyError:
-            raise UnknownPaper(paper_id) from None
+        self.pub_year = pub_year
 
     @property
     def n_papers(self) -> int:
-        return len(self.paper_meta)
+        return len(self.pub_year)
 
 
 @dataclass
 class IngestResult:
     index: CitationIndex
     mentorships: list[MentorshipRecord]
-    report: IngestReport
+    # Events observed during ingestion, counted by (stage, reason).
+    report: Counter[tuple[str, str]]
 
 
 def _require(cond: bool, line_no: int, reason: str) -> None:
@@ -188,7 +123,7 @@ def _check_year(value, line_no: int, name: str) -> int:
     return value
 
 
-def _parse_paper(obj, line_no: int, report: IngestReport) -> PaperRecord:
+def _parse_paper(obj, line_no: int, report: Counter[tuple[str, str]]) -> PaperRecord:
     _require(isinstance(obj, dict), line_no, "paper record must be a JSON object")
     try:
         paper_id = obj["paper_id"]
@@ -206,20 +141,20 @@ def _parse_paper(obj, line_no: int, report: IngestReport) -> PaperRecord:
     _require(isinstance(reference_ids, list), line_no, "reference_ids must be an array")
     _require(all(isinstance(r, str) and r for r in reference_ids), line_no, "reference_ids entries must be strings")
 
-    # Sanitize data noise: repeated authors, repeated references, self-references.
-    authors = tuple(dict.fromkeys(author_ids))
+    # Sanitize data noise: repeated references, self-references. The index
+    # removes repeated authors.
     refs = []
     seen = set()
     for r in reference_ids:
         if r == paper_id:
-            report.add("papers", "self_reference_removed")
+            report["papers", "self_reference_removed"] += 1
             continue
         if r in seen:
-            report.add("papers", "duplicate_reference_removed")
+            report["papers", "duplicate_reference_removed"] += 1
             continue
         seen.add(r)
         refs.append(r)
-    return PaperRecord(paper_id, authors, pub_year, field, tuple(refs))
+    return PaperRecord(paper_id, tuple(author_ids), pub_year, field, tuple(refs))
 
 
 def _parse_mentorship(obj, line_no: int) -> MentorshipRecord:
@@ -252,22 +187,13 @@ def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
                 raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from None
 
 
-def ingest_corpus(
-    papers_path: str | Path,
-    mentorships_path: str | Path,
-    config: IngestConfig | None = None,
-) -> IngestResult:
-    """Read both JSONL files and build the cross-linked citation index.
+def _kept_papers(
+    papers_path: str | Path, cfg: IngestConfig, report: Counter[tuple[str, str]]
+) -> Iterator[PaperRecord]:
+    """Validated paper records inside the year window and field filter.
 
-    Papers outside the configured year window or field are dropped and
-    counted; mentorship records whose mentor or mentee has fewer than
-    ``min_papers`` papers in the filtered corpus are dropped and counted.
-    Structural problems (bad JSON, missing keys, duplicate ids) raise.
+    Duplicate ids raise even when a filter drops one of the copies.
     """
-    cfg = config or IngestConfig()
-    report = IngestReport()
-
-    records: list[PaperRecord] = []
     seen_ids: set[str] = set()
     for line_no, obj in _iter_jsonl(papers_path):
         rec = _parse_paper(obj, line_no, report)
@@ -275,17 +201,32 @@ def ingest_corpus(
             raise DuplicatePaperId(f"line {line_no}: {rec.paper_id}")
         seen_ids.add(rec.paper_id)
         if not (cfg.year_min <= rec.pub_year <= cfg.year_max):
-            report.add("papers", "year_out_of_window")
-            continue
-        if cfg.field is not None and rec.field != cfg.field:
-            report.add("papers", "field_filtered")
-            continue
-        records.append(rec)
-    if not records:
-        raise EmptyCorpus(f"no paper records survived ingestion from {papers_path}")
-    report.add("papers", "ingested", len(records))
+            report["papers", "year_out_of_window"] += 1
+        elif cfg.field is not None and rec.field != cfg.field:
+            report["papers", "field_filtered"] += 1
+        else:
+            yield rec
 
-    index = CitationIndex(records)
+
+def ingest_corpus(
+    papers_path: str | Path,
+    mentorships_path: str | Path,
+    config: IngestConfig | None = None,
+) -> IngestResult:
+    """Read both JSONL files and build the citation index in one pass.
+
+    Papers outside the configured year window or field are dropped and
+    counted; mentorship records whose mentor or mentee has fewer than
+    ``min_papers`` papers in the filtered corpus are dropped and counted.
+    Structural problems (bad JSON, missing keys, duplicate ids) raise.
+    """
+    cfg = config or IngestConfig()
+    report: Counter[tuple[str, str]] = Counter()
+
+    index = CitationIndex(_kept_papers(papers_path, cfg, report))
+    if not index.n_papers:
+        raise EmptyCorpus(f"no paper records survived ingestion from {papers_path}")
+    report["papers", "ingested"] = index.n_papers
 
     mentorships: list[MentorshipRecord] = []
     seen_pairs: set[tuple[str, str]] = set()
@@ -294,37 +235,36 @@ def ingest_corpus(
         rec = _parse_mentorship(obj, line_no)
         n_raw += 1
         if cfg.field is not None and rec.field != cfg.field:
-            report.add("mentorships", "field_filtered")
+            report["mentorships", "field_filtered"] += 1
             continue
         key = (rec.mentor_id, rec.mentee_id)
         if key in seen_pairs:
-            report.add("mentorships", "duplicate_pair")
+            report["mentorships", "duplicate_pair"] += 1
             continue
         seen_pairs.add(key)
         mentor_n = len(index.author_papers.get(rec.mentor_id, ()))
         mentee_n = len(index.author_papers.get(rec.mentee_id, ()))
         dropped = False
         if mentor_n < cfg.min_papers:
-            report.add("mentorships", "mentor_below_min_papers")
+            report["mentorships", "mentor_below_min_papers"] += 1
             dropped = True
         if mentee_n < cfg.min_papers:
-            report.add("mentorships", "mentee_below_min_papers")
+            report["mentorships", "mentee_below_min_papers"] += 1
             dropped = True
         if dropped:
-            report.add("mentorships", "dropped_ineligible")
+            report["mentorships", "dropped_ineligible"] += 1
             continue
         mentorships.append(rec)
     if n_raw == 0:
         raise EmptyCorpus(f"no mentorship records in {mentorships_path}")
-    report.add("mentorships", "ingested", len(mentorships))
+    report["mentorships", "ingested"] = len(mentorships)
 
     return IngestResult(index, mentorships, report)
 
 
 def cohort_flags(author_id: str, index: CitationIndex) -> CohortFlags:
     """Career flags for one author; pure function of the immutable index."""
-    papers = index.papers_of(author_id)
-    years = [index.paper_meta[p].pub_year for p in papers]
+    years = [index.pub_year[p] for p in index.author_papers[author_id]]
     first = min(years)
     career_len = max(years) - first
     return CohortFlags(
@@ -341,10 +281,10 @@ def five_year_citations(paper_id: str, index: CitationIndex, window: int = 5) ->
     Citing papers whose year precedes the cited paper's year are treated as
     data noise and excluded from the windowed count (they stay in the graph).
     """
-    pub_year = index.meta(paper_id).pub_year
+    pub_year = index.pub_year[paper_id]
     n = 0
-    for citer in index.citers_of(paper_id):
-        offset = index.paper_meta[citer].pub_year - pub_year
+    for citer in index.cited_by_map[paper_id]:
+        offset = index.pub_year[citer] - pub_year
         if 0 <= offset <= window:
             n += 1
     return n

@@ -33,14 +33,6 @@ class EmptyCorpus(CociteError):
     pass
 
 
-class UnknownAuthor(CociteError):
-    stage = "pairs"
-
-
-class UnknownPaper(CociteError):
-    pass
-
-
 # -- pair graphs -------------------------------------------------------
 
 

@@ -68,7 +68,7 @@ def cociting_pool(members: tuple[str, ...], index: CitationIndex) -> tuple[str, 
     """Corpus papers citing at least two distinct members, sorted."""
     hits: dict[str, int] = {}
     for m in members:
-        for citer in index.citers_of(m):
+        for citer in index.cited_by_map[m]:
             hits[citer] = hits.get(citer, 0) + 1
     return tuple(sorted(c for c, n in hits.items() if n >= 2))
 
@@ -88,14 +88,14 @@ def allocate_impact(
         pool_set = set(pool)
         rows = []
         for paper in members:
-            w = sum(1 for c in index.citers_of(paper) if c in pool_set)
+            w = sum(1 for c in index.cited_by_map[paper] if c in pool_set)
             rows.append(
                 PaperImpact(
                     paper_id=paper,
                     topic_id=topic_id,
                     authorship=graph.labels[paper],
                     w=w,
-                    author_count=index.meta(paper).author_count,
+                    author_count=len(index.paper_authors[paper]),
                 )
             )
         c_mentee = math.fsum(r.contribution for r in rows if r.authorship in MENTEE_SIDE)

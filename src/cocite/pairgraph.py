@@ -91,7 +91,7 @@ def build_pair_graph(
     # Invert: which pair nodes does each corpus citer cite?
     cited_nodes_by_citer: dict[str, list[str]] = defaultdict(list)
     for node in nodes:
-        for citer in index.citers_of(node):
+        for citer in index.cited_by_map[node]:
             cited_nodes_by_citer[citer].append(node)
 
     sources: dict[tuple[str, str], set[str]] = defaultdict(set)

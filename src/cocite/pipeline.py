@@ -161,8 +161,24 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+def write_ingest_report(path: Path, report: Mapping[tuple[str, str], int]) -> None:
+    write_csv(path, ["stage", "reason", "count"], [(*key, n) for key, n in sorted(report.items())])
+
+
+DIGEST_CHUNK = 1 << 20
+
+
+def _hash_file(h, path: str | Path) -> None:
+    """Feed a file to the hash `h` in DIGEST_CHUNK pieces, so no file is held whole."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(DIGEST_CHUNK):
+            h.update(chunk)
+
+
 def file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    _hash_file(h, path)
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +187,9 @@ def file_digest(path: Path) -> str:
 
 def corpus_digest(papers_path: str | Path, mentorships_path: str | Path) -> str:
     h = hashlib.sha256()
-    h.update(Path(papers_path).read_bytes())
+    _hash_file(h, papers_path)
     h.update(b"\x00")
-    h.update(Path(mentorships_path).read_bytes())
+    _hash_file(h, mentorships_path)
     return h.hexdigest()
 
 
@@ -615,7 +631,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ingest_result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
-    ingest_result.report.write_csv(out_dir / "ingest_report.csv")
+    write_ingest_report(out_dir / "ingest_report.csv", ingest_result.report)
     written = ["ingest_report.csv"]
 
     corpus_hash = corpus_digest(config.papers, config.mentorships)

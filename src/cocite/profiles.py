@@ -177,8 +177,8 @@ def _decode(tp: Any, value: Any) -> Any:
 
 def _collaborators(author_id: str, index: CitationIndex) -> set[str]:
     out: set[str] = set()
-    for p in index.papers_of(author_id):
-        out.update(index.authors_of(p))
+    for p in index.author_papers[author_id]:
+        out.update(index.paper_authors[p])
     out.discard(author_id)
     return out
 
@@ -241,12 +241,12 @@ def build_pair_profile(
     joint_papers = [n for n, lab in graph.labels.items() if lab is Authorship.JOINT]
     first_mte = flags_mte.first_pub_year
     joint_first = sum(
-        1 for j in joint_papers if index.paper_meta[j].pub_year - first_mte <= 5
+        1 for j in joint_papers if index.pub_year[j] - first_mte <= 5
     )
     mte_first = sum(
         1
-        for q in index.papers_of(mentee_id)
-        if index.paper_meta[q].pub_year - first_mte <= 5
+        for q in index.author_papers[mentee_id]
+        if index.pub_year[q] - first_mte <= 5
     )
     common = _collaborators(mentee_id, index) & _collaborators(mentor_id, index)
     common -= {mentor_id, mentee_id}

@@ -148,7 +148,7 @@ def classify_strategy(typing: TopicTyping) -> StrategyRecord:
 
 def author_citation_total(author_id: str, index: CitationIndex, window: int = 5) -> int:
     """Sum of windowed citation counts over all of one author's papers."""
-    return sum(five_year_citations(p, index, window) for p in index.papers_of(author_id))
+    return sum(five_year_citations(p, index, window) for p in index.author_papers[author_id])
 
 
 def elite_threshold(values: Iterable[float], top_fraction: float = 0.2) -> float:

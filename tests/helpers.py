@@ -129,12 +129,12 @@ def random_pair_corpus(
     seed: int,
     max_papers: int = 30,
     max_citers: int = 200,
-) -> tuple[CitationIndex, str, str, TopicAssignment]:
+) -> tuple[list[PaperRecord], str, str, TopicAssignment]:
     """Small random corpus around one pair, plus an arbitrary topic split.
 
     Pair papers may cite each other (so pair papers can co-cite), citers
     cite 1 to 5 pair papers, topics are a random partition with a few
-    papers possibly left unassigned. Returns (index, mentor_id, mentee_id,
+    papers possibly left unassigned. Returns (records, mentor_id, mentee_id,
     assignment).
     """
     rng = random.Random(seed)
@@ -174,8 +174,6 @@ def random_pair_corpus(
                 tuple(refs),
             )
         )
-    index = CitationIndex(records)
-
     n_topics = rng.randint(1, 4)
     topic_of: dict[str, int | None] = {}
     members: dict[int, list[str]] = {}
@@ -197,7 +195,7 @@ def random_pair_corpus(
         for pid in ms:
             dense_of[pid] = i
     assignment = TopicAssignment(topic_of=dense_of, topics=topics, modularity_q=0.0)
-    return index, mentor_id, mentee_id, assignment
+    return records, mentor_id, mentee_id, assignment
 
 
 @dataclass(frozen=True)
@@ -218,35 +216,37 @@ class OracleImpact:
 
 
 def oracle_impact(
-    index: CitationIndex,
+    records: Sequence[PaperRecord],
     labels: Mapping[str, Authorship],
     topics: Mapping[int, Sequence[str]],
 ) -> OracleImpact:
     """Impact allocation recomputed by exhaustive forward scans.
 
-    Pools come from scanning every corpus paper's reference list against
-    each topic's member set; per-paper scores recount citations the same
-    way. Totals are kept both as exact rationals and as fsum of the float
-    shares.
+    Pools come from scanning every record's reference list against each
+    topic's member set; per-paper scores recount citations the same way, and
+    author counts come from the records, not the index. Totals are kept both
+    as exact rationals and as fsum of the float shares.
     """
+    refs_of = {rec.paper_id: set(rec.reference_ids) for rec in records}
+    n_authors = {rec.paper_id: len(set(rec.author_ids)) for rec in records}
     out: dict[int, OracleTopicImpact] = {}
     mentee_shares: list[float] = []
     mentor_shares: list[float] = []
     for topic_id in sorted(topics):
         member_set = set(topics[topic_id])
         pool = set()
-        for q, refs in index.citing_map.items():
-            if len(member_set.intersection(refs)) >= 2:
+        for q, refs in refs_of.items():
+            if len(member_set & refs) >= 2:
                 pool.add(q)
         w: dict[str, int] = {}
         for p in member_set:
-            w[p] = sum(1 for q in pool if p in index.citing_map[q])
+            w[p] = sum(1 for q in pool if p in refs_of[q])
         c_e: list[float] = []
         c_r: list[float] = []
         c_e_exact = Fraction(0)
         c_r_exact = Fraction(0)
         for p in sorted(member_set):
-            s = index.meta(p).author_count
+            s = n_authors[p]
             share = w[p] / s
             exact = Fraction(w[p], s)
             if labels[p] in MENTEE_SIDE:
@@ -375,17 +375,17 @@ def bfs_max_finite_distance(graph: PairGraph) -> int | None:
 
 
 def brute_force_edges(
-    index: CitationIndex,
+    records: Iterable[PaperRecord],
     node_set: set[str],
     exclude_self_cocitation: bool = False,
 ) -> dict[tuple[str, str], set[str]]:
     edges: dict[tuple[str, str], set[str]] = {}
-    for citer, refs in index.citing_map.items():
-        if exclude_self_cocitation and citer in node_set:
+    for rec in records:
+        if exclude_self_cocitation and rec.paper_id in node_set:
             continue
-        cited = sorted(set(refs) & node_set)
+        cited = sorted(set(rec.reference_ids) & node_set)
         for u, v in combinations(cited, 2):
-            edges.setdefault((u, v), set()).add(citer)
+            edges.setdefault((u, v), set()).add(rec.paper_id)
     return edges
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from cocite.cli import main
 from cocite.community import TopicAssignment, louvain, modularity
-from cocite.corpus import ingest_corpus
+from cocite.corpus import CitationIndex, ingest_corpus
 from cocite.distance import average_distance
 from cocite.errors import NoFinitePaths
 from cocite.impact import allocate_impact
@@ -127,10 +127,11 @@ def test_criterion_3_impact_allocation_matches_oracle_exactly(capsys):
     with verdict(capsys, 3):
         t0 = time.monotonic()
         for seed in range(100):
-            index, mentor, mentee, assignment = random_pair_corpus(seed)
+            records, mentor, mentee, assignment = random_pair_corpus(seed)
+            index = CitationIndex(records)
             graph = build_pair_graph(mentor, mentee, index)
             alloc = allocate_impact(graph, assignment, index)
-            oracle = oracle_impact(index, graph.labels, assignment.topics)
+            oracle = oracle_impact(records, graph.labels, assignment.topics)
             assert set(alloc.topics) == set(oracle.topics)
             for j, topic in alloc.topics.items():
                 assert set(topic.pool) == oracle.topics[j].pool

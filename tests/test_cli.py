@@ -2,10 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cocite.cli import build_parser, config_from_args, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +208,33 @@ class TestSinglePairCommands:
         assert "topics:" in capsys.readouterr().out
         header = (out / "topics.csv").read_text().splitlines()[0]
         assert header == "paper_id,topic_id,authorship"
+
+    def test_detect_stops_on_extreme_gamma(self, corpus_dir, tmp_path):
+        # gamma = -1e308 makes every Louvain gain inf - inf = NaN; a sweep
+        # must still end. Run as a subprocess so a hang fails on the timeout.
+        mentor, mentee = first_pair(corpus_dir)
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "cocite.cli",
+                "detect",
+                *corpus_args(corpus_dir),
+                "--mentor",
+                mentor,
+                "--mentee",
+                mentee,
+                "--out",
+                str(tmp_path / "detect"),
+                "--gamma=-1e308",
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "detect" / "topics.csv").is_file()
 
     def test_impact_tables(self, corpus_dir, tmp_path):
         mentor, mentee = first_pair(corpus_dir)

@@ -13,13 +13,7 @@ from cocite.corpus import (
     five_year_citations,
     ingest_corpus,
 )
-from cocite.errors import (
-    DuplicatePaperId,
-    EmptyCorpus,
-    MalformedRecord,
-    UnknownAuthor,
-    UnknownPaper,
-)
+from cocite.errors import DuplicatePaperId, EmptyCorpus, MalformedRecord
 
 from helpers import make_index, paper
 
@@ -65,10 +59,10 @@ class TestIngest:
         result = ingest_corpus(ppath, mpath, BASE_CFG)
         idx = result.index
         assert idx.n_papers == 3
-        assert idx.citing_map["p3"] == ("p1", "p2")
-        assert idx.citers_of("p2") == ("p1", "p3")
-        assert idx.papers_of("a1") == ("p2", "p1")  # sorted by year
-        assert idx.meta("p2").author_count == 2
+        assert idx.cited_by_map == {"p1": ("p3",), "p2": ("p1", "p3"), "p3": ()}
+        assert idx.author_papers["a1"] == ("p2", "p1")  # sorted by year
+        assert idx.paper_authors["p2"] == ("a2", "a1")
+        assert idx.pub_year == {"p1": 1990, "p2": 1985, "p3": 2000}
         assert len(result.mentorships) == 1
 
     def test_year_window_filter_counted(self, tmp_path):
@@ -79,9 +73,9 @@ class TestIngest:
         ]
         ppath, mpath = write_corpus(tmp_path, papers, [mship_obj("a1", "a2")])
         result = ingest_corpus(ppath, mpath, BASE_CFG)
-        assert "p1" not in result.index.paper_meta
-        assert result.report.count("papers", "year_out_of_window") == 1
-        assert result.report.count("papers", "ingested") == 2
+        assert "p1" not in result.index.pub_year
+        assert result.report["papers", "year_out_of_window"] == 1
+        assert result.report["papers", "ingested"] == 2
 
     def test_field_filter(self, tmp_path):
         papers = [
@@ -92,9 +86,9 @@ class TestIngest:
         ppath, mpath = write_corpus(tmp_path, papers, ments)
         cfg = IngestConfig(min_papers=0, field="x")
         result = ingest_corpus(ppath, mpath, cfg)
-        assert set(result.index.paper_meta) == {"p1"}
-        assert result.report.count("papers", "field_filtered") == 1
-        assert result.report.count("mentorships", "field_filtered") == 1
+        assert set(result.index.pub_year) == {"p1"}
+        assert result.report["papers", "field_filtered"] == 1
+        assert result.report["mentorships", "field_filtered"] == 1
         assert len(result.mentorships) == 1
 
     def test_min_papers_eligibility(self, tmp_path):
@@ -103,8 +97,8 @@ class TestIngest:
         ppath, mpath = write_corpus(tmp_path, papers, [mship_obj("a1", "a2")])
         result = ingest_corpus(ppath, mpath, IngestConfig(min_papers=2))
         assert result.mentorships == []
-        assert result.report.count("mentorships", "mentee_below_min_papers") == 1
-        assert result.report.count("mentorships", "dropped_ineligible") == 1
+        assert result.report["mentorships", "mentee_below_min_papers"] == 1
+        assert result.report["mentorships", "dropped_ineligible"] == 1
 
     def test_duplicate_pair_dedupe(self, tmp_path):
         papers = [paper_obj("p1", ["a1"]), paper_obj("p2", ["a2"])]
@@ -112,15 +106,15 @@ class TestIngest:
         ppath, mpath = write_corpus(tmp_path, papers, ments)
         result = ingest_corpus(ppath, mpath, BASE_CFG)
         assert len(result.mentorships) == 1
-        assert result.report.count("mentorships", "duplicate_pair") == 1
+        assert result.report["mentorships", "duplicate_pair"] == 1
 
     def test_reference_sanitization(self, tmp_path):
         papers = [paper_obj("p1", ["a1"], refs=["p1", "p2", "p2"]), paper_obj("p2", ["a2"])]
         ppath, mpath = write_corpus(tmp_path, papers, [mship_obj("a1", "a2")])
         result = ingest_corpus(ppath, mpath, BASE_CFG)
-        assert result.index.citing_map["p1"] == ("p2",)
-        assert result.report.count("papers", "self_reference_removed") == 1
-        assert result.report.count("papers", "duplicate_reference_removed") == 1
+        assert result.index.cited_by_map == {"p1": (), "p2": ("p1",)}
+        assert result.report["papers", "self_reference_removed"] == 1
+        assert result.report["papers", "duplicate_reference_removed"] == 1
 
     @pytest.mark.parametrize(
         "bad",
@@ -151,10 +145,12 @@ class TestIngest:
         assert exc.value.line_no == 2
 
     def test_duplicate_paper_id(self, tmp_path):
-        papers = [paper_obj("p1", ["a"]), paper_obj("p1", ["b"])]
-        ppath, mpath = write_corpus(tmp_path, papers, [mship_obj("a", "b")])
-        with pytest.raises(DuplicatePaperId):
-            ingest_corpus(ppath, mpath, BASE_CFG)
+        # In the second corpus the year window drops the first copy.
+        for first in (paper_obj("p1", ["a"]), paper_obj("p1", ["a"], 1950)):
+            papers = [first, paper_obj("p1", ["b"])]
+            ppath, mpath = write_corpus(tmp_path, papers, [mship_obj("a", "b")])
+            with pytest.raises(DuplicatePaperId):
+                ingest_corpus(ppath, mpath, BASE_CFG)
 
     def test_mentor_equals_mentee(self, tmp_path):
         ppath, mpath = write_corpus(
@@ -183,21 +179,12 @@ class TestIngest:
 class TestIndex:
     def test_author_dedup(self):
         idx = make_index(paper("p1", ("a", "a", "b")))
-        assert idx.authors_of("p1") == ("a", "b")
-        assert idx.meta("p1").author_count == 2
+        assert idx.paper_authors["p1"] == ("a", "b")
+        assert idx.author_papers == {"a": ("p1",), "b": ("p1",)}
 
-    def test_dangling_refs_kept_forward_only(self):
-        idx = make_index(paper("p1", "a", refs=("ghost",)))
-        assert idx.citing_map["p1"] == ("ghost",)
-        with pytest.raises(UnknownPaper):
-            idx.citers_of("ghost")
-
-    def test_unknown_lookups(self):
-        idx = make_index(paper("p1", "a"))
-        with pytest.raises(UnknownPaper):
-            idx.meta("nope")
-        with pytest.raises(UnknownAuthor):
-            idx.papers_of("nobody")
+    def test_dangling_refs_never_enter_cited_by(self):
+        idx = make_index(paper("p1", "a", refs=("ghost",)), paper("p2", "b", refs=("p1", "ghost")))
+        assert idx.cited_by_map == {"p1": ("p2",), "p2": ()}
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -212,9 +199,10 @@ class TestIndex:
             refs = [r for r in refs if r != pid]
             records.append(paper(pid, "a", refs=tuple(refs)))
         idx = CitationIndex(records)
+        assert list(idx.cited_by_map) == ids
         for p in ids:
-            for q in ids:
-                assert (q in idx.cited_by_map[p]) == (p in idx.citing_map[q])
+            for rec in records:
+                assert (rec.paper_id in idx.cited_by_map[p]) == (p in rec.reference_ids)
             assert idx.cited_by_map[p] == tuple(sorted(idx.cited_by_map[p]))
 
 

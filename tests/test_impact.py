@@ -120,10 +120,11 @@ class TestAgainstOracle:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_exact_equality(self, seed):
-        index, mentor, mentee, assignment = random_pair_corpus(seed)
+        records, mentor, mentee, assignment = random_pair_corpus(seed)
+        index = make_index(*records)
         graph = build_pair_graph(mentor, mentee, index)
         alloc = allocate_impact(graph, assignment, index)
-        oracle = oracle_impact(index, graph.labels, assignment.topics)
+        oracle = oracle_impact(records, graph.labels, assignment.topics)
         assert set(alloc.topics) == set(oracle.topics)
         for j, topic in alloc.topics.items():
             ora = oracle.topics[j]

@@ -97,9 +97,9 @@ class TestAgainstBruteForce:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_matches_forward_scan(self, seed):
-        index, mentor, mentee, _ = random_pair_corpus(seed, max_papers=20, max_citers=60)
-        g = build_pair_graph(mentor, mentee, index)
-        expected = brute_force_edges(index, set(g.nodes))
+        records, mentor, mentee, _ = random_pair_corpus(seed, max_papers=20, max_citers=60)
+        g = build_pair_graph(mentor, mentee, make_index(*records))
+        expected = brute_force_edges(records, set(g.nodes))
         assert set(g.cociting_sources) == set(expected)
         for edge, srcs in g.cociting_sources.items():
             assert set(srcs) == expected[edge]
@@ -110,9 +110,9 @@ class TestAgainstBruteForce:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_exclusion_flag_matches(self, seed):
-        index, mentor, mentee, _ = random_pair_corpus(seed, max_papers=15, max_citers=40)
-        g = build_pair_graph(mentor, mentee, index, exclude_self_cocitation=True)
-        expected = brute_force_edges(index, set(g.nodes), exclude_self_cocitation=True)
+        records, mentor, mentee, _ = random_pair_corpus(seed, max_papers=15, max_citers=40)
+        g = build_pair_graph(mentor, mentee, make_index(*records), exclude_self_cocitation=True)
+        expected = brute_force_edges(records, set(g.nodes), exclude_self_cocitation=True)
         assert set(g.cociting_sources) == set(expected)
         for edge, srcs in g.cociting_sources.items():
             assert set(srcs) == expected[edge]

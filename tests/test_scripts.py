@@ -1,17 +1,48 @@
-"""Smoke tests of the example scripts, run as a user would run them."""
+"""Smoke tests of the example and benchmark scripts, run as a user would
+run them."""
 
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from cocite.cli import main
+from cocite.pipeline import PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Every layer benchmark/trace.py wraps: the run-level ones and those that run
+# at least once per pair. A renamed or removed program function drops its
+# layer from the trace.
+RUN_LAYERS = {
+    "corpus.ingest",
+    "pipeline.digest",
+    "pipeline.pair_stage",
+    "pipeline.cohort",
+    "stats.fit",
+    "pipeline.manifest",
+}
+PER_PAIR_LAYERS = {
+    "profiles.pair",
+    "pairgraph.build",
+    "community.detect",
+    "topics.classify",
+    "impact.allocate",
+    "distance.average",
+    "career.series",
+    "topics.citations",
+}
+N_PAIRS = 12
 
-def run_script(name, *args):
+
+def run_script(name, *args, folder="scripts"):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, str(ROOT / folder / name), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -31,3 +62,50 @@ def test_demo_pipeline(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "profiles built: 12" in proc.stdout
     assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+@pytest.fixture(scope="module")
+def synth_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth12")
+    assert main(["synth", "--out", str(out), "--pairs", str(N_PAIRS), "--seed", "1"]) == 0
+    return out / "papers.jsonl", out / "mentorships.jsonl"
+
+
+def test_benchmark_trace(synth_corpus, tmp_path):
+    papers, mentorships = synth_corpus
+    spans_path = tmp_path / "SPANS"
+    proc = run_script(
+        "trace.py",
+        str(spans_path),
+        "--",
+        "--papers",
+        str(papers),
+        "--mentorships",
+        str(mentorships),
+        "--out",
+        str(tmp_path / "out"),
+        "--workers",
+        "1",
+        folder="benchmark",
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    names = Counter(span["name"] for span in spans)
+    assert set(names) == RUN_LAYERS | PER_PAIR_LAYERS
+    assert names["profiles.pair"] == N_PAIRS
+    for layer in PER_PAIR_LAYERS:
+        assert names[layer] >= N_PAIRS, layer
+
+    # The papers count is read off the index; recount it from the JSONL.
+    config = PipelineConfig()
+    with open(papers, encoding="utf-8") as fh:
+        years = [json.loads(line)["pub_year"] for line in fh]
+    in_window = sum(config.year_min <= y <= config.year_max for y in years)
+    (ingest,) = [span for span in spans if span["name"] == "corpus.ingest"]
+    assert ingest["counts"]["papers"] == in_window
+
+
+def test_benchmark_setup_probe(synth_corpus):
+    proc = run_script("setup_probe.py", *map(str, synth_corpus), folder="benchmark")
+    assert proc.returncode == 0, proc.stderr
+    float(proc.stdout)

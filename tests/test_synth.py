@@ -48,7 +48,7 @@ class TestPlantedPairs:
         papers, mentorships, _ = write_corpus(corpus, tmp_path)
         result = ingest_corpus(papers, mentorships, IngestConfig())
         assert len(result.mentorships) == 6
-        assert result.report.count("mentorships", "dropped_ineligible") == 0
+        assert result.report["mentorships", "dropped_ineligible"] == 0
 
     def test_realized_careers_match_truth(self, corpus):
         index = CitationIndex(corpus.papers)
@@ -134,7 +134,7 @@ class TestOracleImpact:
     def test_hand_values(self):
         # Same layout as the impact hand fixture; the oracle must reproduce
         # the manually computed pools and scores through its forward scan.
-        index = make_index(
+        records = [
             paper("e1", "E"),
             paper("r1", ("R", "z1")),
             paper("j1", ("E", "R")),
@@ -142,9 +142,9 @@ class TestOracleImpact:
             paper("c2", "x2", refs=("e1", "j1")),
             paper("c3", "x3", refs=("r1",)),
             paper("c4", "x4", refs=("r1", "j1")),
-        )
-        graph = build_pair_graph("R", "E", index)
-        oracle = oracle_impact(index, graph.labels, {0: ("e1", "r1", "j1")})
+        ]
+        graph = build_pair_graph("R", "E", make_index(*records))
+        oracle = oracle_impact(records, graph.labels, {0: ("e1", "r1", "j1")})
         topic = oracle.topics[0]
         assert topic.pool == {"c1", "c2", "c4"}
         assert topic.w == {"e1": 2, "r1": 2, "j1": 2}
@@ -166,7 +166,8 @@ class TestGeneratorValidity:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_random_pair_corpus_assignment_is_dense(self, seed):
-        index, mentor, mentee, assignment = random_pair_corpus(seed)
+        records, mentor, mentee, assignment = random_pair_corpus(seed)
+        index = make_index(*records)
         assert mentor in index.author_papers and mentee in index.author_papers
         ids = sorted(assignment.topics)
         assert ids == list(range(len(ids)))
