@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands either operate on a single pair (pairs, detect, impact,
-classify, distance, career) or on the whole cohort (ingest, run). synth
-writes a synthetic corpus with its ground truth. Options come from
-defaults, then an optional key=value --config file, then explicit flags,
-in that order.
+`ingest` validates and filters a corpus, `pair` runs the per-pair chain for
+one mentor-mentee pair and writes each stage's files, `run` runs the whole
+pipeline over the cohort, and `synth` writes a synthetic corpus with its
+ground truth. Options come from defaults, then an optional key=value
+--config file, then explicit flags, in that order.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ import functools
 import sys
 from dataclasses import astuple, fields as dc_fields
 from pathlib import Path
+from typing import Any
 
 from . import __version__
-from .community import detect_topics
-from .corpus import IngestConfig, ingest_corpus
-from .distance import DistanceResult, average_distance
-from .errors import CociteError
-from .impact import allocate_impact
-from .pairgraph import build_pair_graph
+from .corpus import IngestConfig, MentorshipRecord, ingest_corpus
+from .distance import DistanceResult
+from .errors import CociteError, NoFinitePaths
+from .pairgraph import PairGraph
 from .pipeline import (
     CAREER_COLUMNS,
     SETTING_TYPES,
@@ -36,7 +35,6 @@ from .pipeline import (
 )
 from .profiles import PairParams, build_pair_profile
 from .synth import SynthConfig, synthesize_corpus, write_corpus
-from .topics import classify_strategy, classify_topics
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
@@ -73,11 +71,6 @@ def _add_config_flags(p: argparse.ArgumentParser, *classes: type) -> None:
             p.add_argument(flag, dest=f.name, default=argparse.SUPPRESS, **kind)
 
 
-def _add_pair_selector(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mentor", required=True)
-    p.add_argument("--mentee", required=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cocite",
@@ -90,18 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p_ingest)
     _add_config_flags(p_ingest, IngestConfig)
 
-    for name, helptext in (
-        ("pairs", "build one pair's co-citation graph"),
-        ("detect", "detect topics for one pair"),
-        ("impact", "allocate topic impact for one pair"),
-        ("classify", "type topics and classify one pair's strategy"),
-        ("distance", "average mentee-mentor distance for one pair"),
-        ("career", "career impact series for one pair"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        _add_corpus_flags(p)
-        _add_config_flags(p, IngestConfig, PairParams)
-        _add_pair_selector(p)
+    p_pair = sub.add_parser(
+        "pair", help="per-pair chain for one pair, writing each stage's files"
+    )
+    _add_corpus_flags(p_pair)
+    _add_config_flags(p_pair, IngestConfig, PairParams)
+    p_pair.add_argument("--mentor", required=True)
+    p_pair.add_argument("--mentee", required=True)
 
     p_run = sub.add_parser("run", help="full pipeline: ingest, pairs, cohort stats, manifest")
     _add_corpus_flags(p_run)
@@ -128,18 +116,6 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _single_pair_chain(args: argparse.Namespace):
-    config = config_from_args(args)
-    result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
-    graph = build_pair_graph(
-        args.mentor,
-        args.mentee,
-        result.index,
-        exclude_self_cocitation=config.exclude_self_cocitation,
-    )
-    return config, result.index, graph
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
@@ -152,129 +128,91 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pairs(args: argparse.Namespace) -> int:
-    _, _, graph = _single_pair_chain(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "nodes.csv",
-        ["paper_id", "authorship"],
-        [(n, graph.labels[n].value) for n in graph.nodes],
-    )
-    write_csv(
-        out / "edges.csv",
-        ["u", "v", "n_sources", "sources"],
-        [
-            (u, v, len(srcs), ";".join(srcs))
-            for (u, v), srcs in sorted(graph.cociting_sources.items())
-        ],
-    )
-    print(f"nodes: {graph.n_nodes}  edges: {graph.n_edges}")
-    return 0
-
-
-def _cmd_detect(args: argparse.Namespace) -> int:
-    config, _, graph = _single_pair_chain(args)
-    assignment = detect_topics(graph, config.pair_params())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "topics.csv",
-        ["paper_id", "topic_id", "authorship"],
-        [
-            (n, assignment.topic_of[n], graph.labels[n].value)
-            for n in graph.nodes
-        ],
-    )
-    print(f"topics: {assignment.n_topics}  unassigned: {assignment.n_unassigned}")
-    print(f"modularity_q: {assignment.modularity_q!r}")
-    return 0
-
-
-def _cmd_impact(args: argparse.Namespace) -> int:
-    config, index, graph = _single_pair_chain(args)
-    assignment = detect_topics(graph, config.pair_params())
-    allocation = allocate_impact(graph, assignment, index)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "impact.csv",
-        ["topic_id", "paper_id", "authorship", "w", "s", "contribution"],
-        [
-            (t.topic_id, r.paper_id, r.authorship.value, r.w, r.author_count, r.contribution)
-            for t in allocation.topics.values()
-            for r in t.rows
-        ],
-    )
-    write_csv(
-        out / "impact_topics.csv",
-        ["topic_id", "P_j_size", "C_e", "C_r"],
-        [
-            (t.topic_id, t.p_j_size, t.c_mentee, t.c_mentor)
-            for t in allocation.topics.values()
-        ],
-    )
-    print(f"C_e_total: {allocation.mentee_total!r}")
-    print(f"C_r_total: {allocation.mentor_total!r}")
-    return 0
-
-
-def _cmd_classify(args: argparse.Namespace) -> int:
-    config, _, graph = _single_pair_chain(args)
-    assignment = detect_topics(graph, config.pair_params())
-    typing = classify_topics(graph, assignment)
-    record = classify_strategy(typing)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "topic_types.csv",
-        ["topic_id", "topic_type", "mentor_proportion"],
-        [
-            (j, typing.type_of[j].value, typing.proportions.get(j))
-            for j in sorted(typing.type_of)
-        ],
-    )
-    write_csv(
-        out / "strategy.csv",
-        ["strategy", "n_shared", "n_new", "R"],
-        [(record.strategy.value, record.n_shared, record.n_new, record.new_topic_ratio)],
-    )
-    print(f"strategy: {record.strategy.value}  R: {record.new_topic_ratio!r}")
-    return 0
-
-
-def _cmd_distance(args: argparse.Namespace) -> int:
-    config, _, graph = _single_pair_chain(args)
-    result = average_distance(
-        graph, include_joint_self_pairs=config.include_joint_self_pairs
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "distance.csv", [f.name for f in dc_fields(DistanceResult)], [astuple(result)]
-    )
-    print(f"ave_distance: {result.ave_distance!r}")
-    return 0
-
-
-def _cmd_career(args: argparse.Namespace) -> int:
+def _cmd_pair(args: argparse.Namespace) -> int:
     config = config_from_args(args)
-    result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
-    mentorship = next(
-        (
-            m
-            for m in result.mentorships
-            if m.mentor_id == args.mentor and m.mentee_id == args.mentee
-        ),
-        None,
-    )
-    if mentorship is None:
-        from .corpus import MentorshipRecord
-
-        mentorship = MentorshipRecord(args.mentor, args.mentee, None, config.field or "")
-    profile = build_pair_profile(mentorship, result.index, config.pair_params())
+    index = ingest_corpus(config.papers, config.mentorships, config.ingest_config()).index
+    # No pair file shows the record's field or start year, so the pair need
+    # not be an eligible mentorship.
+    mentorship = MentorshipRecord(args.mentor, args.mentee, None, config.field or "")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    graph: PairGraph | None = None
+
+    def write_stage(stage: str, result: Any) -> None:
+        """Write one stage's files and print its summary lines."""
+        nonlocal graph
+        if stage == "pairs":
+            graph = result
+            write_csv(
+                out / "nodes.csv",
+                ["paper_id", "authorship"],
+                [(n, graph.labels[n].value) for n in graph.nodes],
+            )
+            write_csv(
+                out / "edges.csv",
+                ["u", "v", "n_sources", "sources"],
+                [
+                    (u, v, len(srcs), ";".join(srcs))
+                    for (u, v), srcs in sorted(graph.cociting_sources.items())
+                ],
+            )
+            print(f"nodes: {graph.n_nodes}  edges: {graph.n_edges}")
+        elif stage == "detect":
+            write_csv(
+                out / "topics.csv",
+                ["paper_id", "topic_id", "authorship"],
+                [(n, result.topic_of[n], graph.labels[n].value) for n in graph.nodes],
+            )
+            print(f"topics: {result.n_topics}  unassigned: {result.n_unassigned}")
+            print(f"modularity_q: {result.modularity_q!r}")
+        elif stage == "classify":
+            typing, record = result
+            write_csv(
+                out / "topic_types.csv",
+                ["topic_id", "topic_type", "mentor_proportion"],
+                [
+                    (j, typing.type_of[j].value, typing.proportions.get(j))
+                    for j in sorted(typing.type_of)
+                ],
+            )
+            write_csv(
+                out / "strategy.csv",
+                ["strategy", "n_shared", "n_new", "R"],
+                [(record.strategy.value, record.n_shared, record.n_new, record.new_topic_ratio)],
+            )
+            print(f"strategy: {record.strategy.value}  R: {record.new_topic_ratio!r}")
+        elif stage == "impact":
+            topics = result.topics.values()
+            write_csv(
+                out / "impact.csv",
+                ["topic_id", "paper_id", "authorship", "w", "s", "contribution"],
+                [
+                    (t.topic_id, r.paper_id, r.authorship.value, r.w, r.author_count, r.contribution)
+                    for t in topics
+                    for r in t.rows
+                ],
+            )
+            write_csv(
+                out / "impact_topics.csv",
+                ["topic_id", "P_j_size", "C_e", "C_r"],
+                [(t.topic_id, t.p_j_size, t.c_mentee, t.c_mentor) for t in topics],
+            )
+            print(f"C_e_total: {result.mentee_total!r}")
+            print(f"C_r_total: {result.mentor_total!r}")
+        elif isinstance(result, NoFinitePaths):
+            # As in `cocite run`, the pair goes on without a distance.
+            print(f"warning: stage distance: NoFinitePaths: {result}", file=sys.stderr)
+        else:
+            write_csv(
+                out / "distance.csv", [f.name for f in dc_fields(DistanceResult)], [astuple(result)]
+            )
+            print(f"ave_distance: {result.ave_distance!r}")
+
+    try:
+        profile = build_pair_profile(mentorship, index, config.pair_params(), on_stage=write_stage)
+    except CociteError as exc:
+        print(f"error: stage {exc.stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     write_csv(out / "career.csv", CAREER_COLUMNS, career_rows(profile))
     print(f"mentee total: {profile.mentee_total_impact!r}")
     print(f"mentor total: {profile.mentor_total_impact!r}")
@@ -309,12 +247,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "ingest": _cmd_ingest,
-    "pairs": _cmd_pairs,
-    "detect": _cmd_detect,
-    "impact": _cmd_impact,
-    "classify": _cmd_classify,
-    "distance": _cmd_distance,
-    "career": _cmd_career,
+    "pair": _cmd_pair,
     "run": _cmd_run,
     "synth": _cmd_synth,
 }

@@ -10,7 +10,7 @@ Pair graphs never carry self-loops; they appear only in aggregated levels.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
 from .errors import PartitionMismatch
@@ -24,7 +24,8 @@ GAIN_EPS = 1e-9
 
 @dataclass
 class DetectionConfig:
-    gamma: float = 1.0
+    # Q <= 1 holds only for a resolution of 0 or more.
+    gamma: float = field(default=1.0, metadata={"min": 0.0})
     seed: int = 0
     min_community_size: int = 10
 

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields as dc_fields
+from dataclasses import asdict, astuple, dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
 from types import NoneType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
@@ -53,9 +53,9 @@ class PipelineConfig(PairParams, IngestConfig):
     mentorships: str = ""
     out: str = ""
 
-    top_fraction: float = 0.2
+    top_fraction: float = dc_field(default=0.2, metadata={"min": 0.0, "max": 1.0})
     elite_global: bool = False
-    n_bins: int = 20
+    n_bins: int = dc_field(default=20, metadata={"min": 1})
     log1p_outcome: bool = False
     regression_30y: bool = True
 
@@ -88,14 +88,16 @@ class PipelineConfig(PairParams, IngestConfig):
 
 
 SETTING_TYPES = get_type_hints(PipelineConfig)
+# The "min" and "max" a setting's field declares in its metadata, if any.
+SETTING_BOUNDS = {f.name: f.metadata for f in dc_fields(PipelineConfig)}
 
 
 def parse_setting(key: str, raw: str) -> object:
     """The value of setting `key` from its text in a config file or a flag.
 
     `none` and `null` mean None only where the field's type admits it.
-    Raises ValueError if the text does not parse or names a non-finite
-    float.
+    Raises ValueError if the text does not parse, names a non-finite float
+    or a value outside the field's declared bounds.
     """
     options = get_args(SETTING_TYPES[key]) or (SETTING_TYPES[key],)
     lowered = raw.lower()
@@ -106,6 +108,11 @@ def parse_setting(key: str, raw: str) -> object:
         value = tp(raw)
         if tp is float and not math.isfinite(value):
             raise ValueError(f"non-finite value {raw!r}")
+        bounds = SETTING_BOUNDS[key]
+        if value < bounds.get("min", value):
+            raise ValueError(f"{value} is below {bounds['min']}")
+        if value > bounds.get("max", value):
+            raise ValueError(f"{value} is above {bounds['max']}")
         return value
     if lowered in ("true", "1", "yes"):
         return True
@@ -623,10 +630,6 @@ class RunResult:
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Ingest, per-pair stage, cohort stage, report bundle, manifest."""
-    if config.n_bins < 1:
-        raise InvalidConfig(f"config key 'n_bins': {config.n_bins} is below 1")
-    if not 0.0 <= config.top_fraction <= 1.0:
-        raise InvalidConfig(f"config key 'top_fraction': {config.top_fraction} is outside [0, 1]")
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -22,7 +22,7 @@ from .career import (
 )
 from .community import DetectionConfig, detect_topics
 from .corpus import CitationIndex, MentorshipRecord, cohort_flags
-from .distance import average_distance
+from .distance import DistanceResult, average_distance
 from .errors import NoFinitePaths
 from .impact import allocate_impact
 from .pairgraph import Authorship, build_pair_graph
@@ -45,7 +45,8 @@ class PairParams(DetectionConfig):
 
     exclude_self_cocitation: bool = False
     include_joint_self_pairs: bool = True
-    citation_window: int = 5
+    # A negative window counts no citation at all.
+    citation_window: int = dc_field(default=5, metadata={"min": 0})
 
 
 def _same(value: Any) -> Any:
@@ -183,17 +184,41 @@ def _collaborators(author_id: str, index: CitationIndex) -> set[str]:
     return out
 
 
+def _no_hook(stage: str, result: Any) -> None:
+    pass
+
+
+# What a profile records for a pair whose distance raised NoFinitePaths.
+_NO_DISTANCE = DistanceResult(
+    ave_distance=math.nan,
+    n_pairs=0,
+    n_disconnected=0,
+    max_finite_distance=None,
+    substituted=False,
+)
+
+
 def build_pair_profile(
     mentorship: MentorshipRecord,
     index: CitationIndex,
     params: PairParams | None = None,
+    *,
+    on_stage: Callable[[str, Any], None] = _no_hook,
 ) -> PairProfile:
     """Run the full per-pair chain and assemble the profile.
 
     A disconnected distance computation with nothing to substitute leaves
     ave_distance as NaN and flags the failure; structural problems (no
     retained topics, mentee without topics, an author without papers)
-    propagate to the caller for fault isolation.
+    propagate to the caller for fault isolation, with the stage in the
+    error's `stage`.
+
+    `on_stage` is called after each stage, in this order, with the stage
+    name and its result: "pairs" (the PairGraph), "detect" (the
+    TopicAssignment), "classify" (the TopicTyping and StrategyRecord),
+    "impact" (the ImpactAllocation) and "distance" (the DistanceResult, or
+    the NoFinitePaths it raised). The career stage's result is the profile
+    returned.
     """
     p = params or PairParams()
     mentor_id, mentee_id = mentorship.mentor_id, mentorship.mentee_id
@@ -201,24 +226,22 @@ def build_pair_profile(
     graph = build_pair_graph(
         mentor_id, mentee_id, index, exclude_self_cocitation=p.exclude_self_cocitation
     )
+    on_stage("pairs", graph)
     assignment = detect_topics(graph, p)
+    on_stage("detect", assignment)
     typing = classify_topics(graph, assignment)
     strat = classify_strategy(typing)
+    on_stage("classify", (typing, strat))
     allocation = allocate_impact(graph, assignment, index)
+    on_stage("impact", allocation)
 
     try:
         dist = average_distance(graph, include_joint_self_pairs=p.include_joint_self_pairs)
-        ave_distance = dist.ave_distance
-        n_distance_pairs = dist.n_pairs
-        n_disconnected = dist.n_disconnected
-        substituted = dist.substituted
-        distance_failed = False
-    except NoFinitePaths:
-        ave_distance = math.nan
-        n_distance_pairs = 0
-        n_disconnected = 0
-        substituted = False
-        distance_failed = True
+    except NoFinitePaths as exc:
+        on_stage("distance", exc)
+        dist = _NO_DISTANCE
+    else:
+        on_stage("distance", dist)
 
     mentee_rows = typed_contributions(allocation, typing, index, "mentee")
     mentor_rows = typed_contributions(allocation, typing, index, "mentor")
@@ -268,11 +291,11 @@ def build_pair_profile(
         n_shared=strat.n_shared,
         n_new=strat.n_new,
         new_topic_ratio=strat.new_topic_ratio,
-        ave_distance=ave_distance,
-        n_distance_pairs=n_distance_pairs,
-        n_disconnected=n_disconnected,
-        distance_substituted=substituted,
-        distance_failed=distance_failed,
+        ave_distance=dist.ave_distance,
+        n_distance_pairs=dist.n_pairs,
+        n_disconnected=dist.n_disconnected,
+        distance_substituted=dist.substituted,
+        distance_failed=dist is _NO_DISTANCE,
         mentee_total_impact=allocation.mentee_total,
         mentor_total_impact=allocation.mentor_total,
         mentee_impact_by_type=mentee_by_type,

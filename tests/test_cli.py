@@ -1,17 +1,19 @@
 """Command-line interface, end to end and in process."""
 
+import contextlib
 import csv
+import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import math
+from dataclasses import fields as dc_fields
 
 import pytest
 
-from cocite.cli import build_parser, config_from_args, main
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from cocite import profiles
+from cocite.cli import _OFF_FLAGS, build_parser, config_from_args, main
+from cocite.corpus import IngestConfig
+from cocite.errors import NoFinitePaths
+from cocite.profiles import PairParams
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,37 @@ def first_pair(corpus_dir):
     line = (corpus_dir / "mentorships.jsonl").read_text().splitlines()[0]
     rec = json.loads(line)
     return rec["mentor_id"], rec["mentee_id"]
+
+
+@pytest.fixture(scope="module")
+def pair_run(corpus_dir, tmp_path_factory):
+    """`cocite pair` on the first pair: its output directory and stdout."""
+    mentor, mentee = first_pair(corpus_dir)
+    out = tmp_path_factory.mktemp("pair")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(pair_args(corpus_dir, mentor, mentee, out))
+    assert code == 0
+    return out, stdout.getvalue()
+
+
+def pair_args(corpus_dir, mentor, mentee, out, *flags):
+    return [
+        "pair",
+        *corpus_args(corpus_dir),
+        "--mentor",
+        mentor,
+        "--mentee",
+        mentee,
+        "--out",
+        str(out),
+        *flags,
+    ]
+
+
+def read_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestParsing:
@@ -109,19 +142,25 @@ class TestErrors:
         assert "error" in capsys.readouterr().err
 
     def test_unknown_pair_exits_two(self, corpus_dir, tmp_path, capsys):
-        code = main(
-            [
-                "pairs",
-                *corpus_args(corpus_dir),
-                "--mentor",
-                "ghost",
-                "--mentee",
-                "ghost2",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 2
+        assert main(pair_args(corpus_dir, "ghost", "ghost2", tmp_path)) == 2
+        assert "stage pairs: EmptyPair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "pair"])
+    def test_negative_gamma_exits_two(self, corpus_dir, tmp_path, capsys, command):
+        args = [command, *corpus_args(corpus_dir), "--out", str(tmp_path / "out"), "--gamma=-1"]
+        if command == "pair":
+            mentor, mentee = first_pair(corpus_dir)
+            args += ["--mentor", mentor, "--mentee", mentee]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "gamma" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_gamma_runs(self, corpus_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", *corpus_args(corpus_dir), "--out", str(out), "--gamma=0"]) == 0
+        assert (out / "manifest.json").is_file()
 
     def test_bad_config_file_exits_two(self, corpus_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -154,7 +193,15 @@ class TestErrors:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["min_papers=abc", "gamma=none", "n_bins=0", "top_fraction=1.5"]
+        "line",
+        [
+            "min_papers=abc",
+            "gamma=none",
+            "gamma=-1",
+            "citation_window=-1",
+            "n_bins=0",
+            "top_fraction=1.5",
+        ],
     )
     def test_unparsable_config_value_exits_two(self, corpus_dir, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -167,91 +214,23 @@ class TestErrors:
 
 
 class TestSinglePairCommands:
-    def test_pairs_writes_nodes_and_edges(self, corpus_dir, tmp_path):
-        mentor, mentee = first_pair(corpus_dir)
-        out = tmp_path / "pairs"
-        code = main(
-            [
-                "pairs",
-                *corpus_args(corpus_dir),
-                "--mentor",
-                mentor,
-                "--mentee",
-                mentee,
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+    """`cocite pair` runs the per-pair chain once and writes every stage's files."""
+
+    def test_pairs_writes_nodes_and_edges(self, pair_run):
+        out, _ = pair_run
         nodes = (out / "nodes.csv").read_text().splitlines()
         edges = (out / "edges.csv").read_text().splitlines()
         assert nodes[0] == "paper_id,authorship"
         assert edges[0] == "u,v,n_sources,sources"
         assert len(nodes) > 1 and len(edges) > 1
 
-    def test_detect_writes_topics(self, corpus_dir, tmp_path, capsys):
-        mentor, mentee = first_pair(corpus_dir)
-        out = tmp_path / "detect"
-        code = main(
-            [
-                "detect",
-                *corpus_args(corpus_dir),
-                "--mentor",
-                mentor,
-                "--mentee",
-                mentee,
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert "topics:" in capsys.readouterr().out
+    def test_detect_writes_topics(self, pair_run):
+        out, _ = pair_run
         header = (out / "topics.csv").read_text().splitlines()[0]
         assert header == "paper_id,topic_id,authorship"
 
-    def test_detect_stops_on_extreme_gamma(self, corpus_dir, tmp_path):
-        # gamma = -1e308 makes every Louvain gain inf - inf = NaN; a sweep
-        # must still end. Run as a subprocess so a hang fails on the timeout.
-        mentor, mentee = first_pair(corpus_dir)
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "cocite.cli",
-                "detect",
-                *corpus_args(corpus_dir),
-                "--mentor",
-                mentor,
-                "--mentee",
-                mentee,
-                "--out",
-                str(tmp_path / "detect"),
-                "--gamma=-1e308",
-            ],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "detect" / "topics.csv").is_file()
-
-    def test_impact_tables(self, corpus_dir, tmp_path):
-        mentor, mentee = first_pair(corpus_dir)
-        out = tmp_path / "impact"
-        code = main(
-            [
-                "impact",
-                *corpus_args(corpus_dir),
-                "--mentor",
-                mentor,
-                "--mentee",
-                mentee,
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+    def test_impact_tables(self, pair_run):
+        out, _ = pair_run
         impact = (out / "impact.csv").read_text().splitlines()
         topics = (out / "impact_topics.csv").read_text().splitlines()
         assert impact[0] == "topic_id,paper_id,authorship,w,s,contribution"
@@ -260,62 +239,113 @@ class TestSinglePairCommands:
     def test_classify_matches_ground_truth(self, corpus_dir, tmp_path):
         truth = json.loads((corpus_dir / "ground_truth.json").read_text())["pairs"][0]
         out = tmp_path / "classify"
-        code = main(
-            [
-                "classify",
-                *corpus_args(corpus_dir),
-                "--mentor",
-                truth["mentor_id"],
-                "--mentee",
-                truth["mentee_id"],
-                "--out",
-                str(out),
-            ]
+        assert main(pair_args(corpus_dir, truth["mentor_id"], truth["mentee_id"], out)) == 0
+        assert (out / "topic_types.csv").read_text().startswith(
+            "topic_id,topic_type,mentor_proportion\n"
         )
-        assert code == 0
         row = (out / "strategy.csv").read_text().splitlines()[1].split(",")
         assert row[0] == truth["strategy"]
         assert int(row[1]) == truth["n_shared"]
         assert int(row[2]) == truth["n_new"]
 
-    def test_distance_and_career(self, corpus_dir, tmp_path):
-        mentor, mentee = first_pair(corpus_dir)
-        out = tmp_path / "dc"
-        assert (
-            main(
-                [
-                    "distance",
-                    *corpus_args(corpus_dir),
-                    "--mentor",
-                    mentor,
-                    "--mentee",
-                    mentee,
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "career",
-                    *corpus_args(corpus_dir),
-                    "--mentor",
-                    mentor,
-                    "--mentee",
-                    mentee,
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        assert (out / "distance.csv").exists()
+    def test_distance_and_career(self, pair_run):
+        out, _ = pair_run
+        distance = (out / "distance.csv").read_text().splitlines()
+        assert distance[0] == "ave_distance,n_pairs,n_disconnected,max_finite_distance,substituted"
         career = (out / "career.csv").read_text().splitlines()
         assert career[0] == "role,career_year,yearly,cumulative"
         roles = {line.split(",")[0] for line in career[1:]}
         assert roles == {"mentee", "mentor"}
+
+    def test_summary_lines_in_stage_order(self, pair_run):
+        _, stdout = pair_run
+        heads = [line.split(":")[0] for line in stdout.splitlines()]
+        assert heads == [
+            "nodes",
+            "topics",
+            "modularity_q",
+            "strategy",
+            "C_e_total",
+            "C_r_total",
+            "ave_distance",
+            "mentee total",
+            "mentor total",
+        ]
+
+    def test_one_chain_gives_both_outputs(self, corpus_dir, pair_run, tmp_path):
+        out, _ = pair_run
+        mentor, mentee = first_pair(corpus_dir)
+        run_out = tmp_path / "run"
+        assert main(["run", *corpus_args(corpus_dir), "--out", str(run_out)]) == 0
+        header, *rows = read_rows(run_out / "profiles.csv")
+        profile = next(
+            dict(zip(header, row)) for row in rows
+            if (row[header.index("mentor_id")], row[header.index("mentee_id")]) == (mentor, mentee)
+        )
+
+        strategy_header, strategy = read_rows(out / "strategy.csv")
+        assert strategy_header == ["strategy", "n_shared", "n_new", "R"]
+        assert strategy == [profile[c] for c in strategy_header]
+        distance = dict(zip(*read_rows(out / "distance.csv")))
+        assert distance["ave_distance"] == profile["ave_distance"]
+        assert distance["n_pairs"] == profile["n_distance_pairs"]
+        assert distance["n_disconnected"] == profile["n_disconnected"]
+
+        _, *series = read_rows(run_out / "pair_series.csv")
+        _, *career = read_rows(out / "career.csv")
+        assert career == [row[2:] for row in series if row[:2] == [mentor, mentee]]
+
+        # The side totals fsum the per-paper contributions, so those reproduce
+        # them bit for bit; each per-topic C_e and C_r is rounded once more.
+        c_e, c_r = float(profile["C_e_total"]), float(profile["C_r_total"])
+        _, *impact = read_rows(out / "impact.csv")
+        mentee_side = [float(r[5]) for r in impact if r[2] in ("mentee", "joint")]
+        mentor_side = [float(r[5]) for r in impact if r[2] in ("mentor", "joint")]
+        assert (math.fsum(mentee_side), math.fsum(mentor_side)) == (c_e, c_r)
+        _, *impact_topics = read_rows(out / "impact_topics.csv")
+        assert math.fsum(float(r[2]) for r in impact_topics) == pytest.approx(c_e, rel=1e-12)
+        assert math.fsum(float(r[3]) for r in impact_topics) == pytest.approx(c_r, rel=1e-12)
+
+    def test_failed_stage_exits_two_and_keeps_earlier_files(self, corpus_dir, tmp_path, capsys):
+        mentor, mentee = first_pair(corpus_dir)
+        out = tmp_path / "fail"
+        code = main(pair_args(corpus_dir, mentor, mentee, out, "--min-community-size", "10000"))
+        assert code == 2
+        assert "stage detect" in capsys.readouterr().err
+        for name in ("nodes.csv", "edges.csv", "topics.csv"):
+            assert (out / name).is_file()
+        for name in ("strategy.csv", "impact.csv", "career.csv"):
+            assert not (out / name).exists()
+
+    def test_no_finite_paths_carries_on(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        # As in `cocite run`, a pair without a distance still gets its career.
+        def no_paths(graph, include_joint_self_pairs=True):
+            raise NoFinitePaths("disconnected pairs with no finite distance to substitute")
+
+        monkeypatch.setattr(profiles, "average_distance", no_paths)
+        mentor, mentee = first_pair(corpus_dir)
+        out = tmp_path / "nopaths"
+        assert main(pair_args(corpus_dir, mentor, mentee, out)) == 0
+        captured = capsys.readouterr()
+        assert "stage distance: NoFinitePaths" in captured.err
+        assert "ave_distance" not in captured.out
+        assert not (out / "distance.csv").exists()
+        assert (out / "career.csv").is_file()
+
+    def test_help_lists_every_pair_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for cls in (IngestConfig, PairParams):
+            for f in dc_fields(cls):
+                assert _OFF_FLAGS.get(f.name, "--" + f.name.replace("_", "-")) in text
+
+    def test_cohort_flag_is_an_error(self, corpus_dir, tmp_path):
+        mentor, mentee = first_pair(corpus_dir)
+        with pytest.raises(SystemExit) as exc:
+            main(pair_args(corpus_dir, mentor, mentee, tmp_path / "o", "--n-bins", "5"))
+        assert exc.value.code == 2
 
 
 class TestRunCommand:

@@ -1,6 +1,10 @@
 """Modularity scoring and community detection."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +20,8 @@ from cocite.errors import PartitionMismatch
 from cocite.pairgraph import Authorship
 
 from helpers import graph_from_edges, naive_modularity, nmi, planted_partition_pair_graph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def weighted(edges, nodes=()):
@@ -115,6 +121,31 @@ class TestLouvain:
     def test_edgeless_graph(self):
         part = louvain({"a": {}, "b": {}})
         assert set(part) == {"a", "b"}
+
+    def test_stops_on_extreme_gamma(self):
+        # gamma = -1e308 makes every gain inf - inf = NaN; a sweep must still
+        # end. The settings reject a negative gamma, so the kernel is called
+        # directly, in a subprocess so that a hang fails on the timeout.
+        adj, _ = random_weighted_graph(7)
+        code = f"from cocite.community import louvain\nprint(len(louvain({adj!r}, gamma=-1e308)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == len(adj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000), gamma=st.floats(0.0, 10.0))
+    def test_modularity_of_partition_is_at_most_one(self, seed, gamma):
+        # Q <= sum_c W_c / 2m <= 1 for gamma >= 0; W_c and 2m are summed in
+        # different orders, so allow rounding (seed 1796, gamma 0 gives
+        # 1.0000000000000002).
+        adj, _ = random_weighted_graph(seed)
+        assert modularity(adj, louvain(adj, gamma=gamma, seed=seed), gamma) <= 1.0 + 1e-12
 
     def test_aggregate_preserves_total_weight(self):
         adj, _ = random_weighted_graph(7)
