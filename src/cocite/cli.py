@@ -52,12 +52,20 @@ _OFF_FLAGS = {
 }
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *classes: type) -> None:
-    """One flag per setting of the given config dataclasses: `--` and the
-    field name with `_` as `-`, stored under the field name and parsed as
-    in a config file. A flag left out sets nothing, so the file's value
-    stands."""
-    for cls in classes:
+# The config dataclasses whose settings each command takes, as flags and as
+# config-file keys.
+_COMMAND_SETTINGS = {
+    "ingest": (IngestConfig,),
+    "pair": (IngestConfig, PairParams),
+    "run": (PipelineConfig,),
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """One flag per setting `command` takes: `--` and the field name with
+    `_` as `-`, stored under the field name and parsed as in a config file.
+    A flag left out sets nothing, so the file's value stands."""
+    for cls in _COMMAND_SETTINGS[command]:
         for f in dc_fields(cls):
             if f.name in ("papers", "mentorships", "out"):  # _add_corpus_flags
                 continue
@@ -81,19 +89,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", help="validate and filter a corpus")
     _add_corpus_flags(p_ingest)
-    _add_config_flags(p_ingest, IngestConfig)
+    _add_config_flags(p_ingest, "ingest")
 
     p_pair = sub.add_parser(
         "pair", help="per-pair chain for one pair, writing each stage's files"
     )
     _add_corpus_flags(p_pair)
-    _add_config_flags(p_pair, IngestConfig, PairParams)
+    _add_config_flags(p_pair, "pair")
     p_pair.add_argument("--mentor", required=True)
     p_pair.add_argument("--mentee", required=True)
 
     p_run = sub.add_parser("run", help="full pipeline: ingest, pairs, cohort stats, manifest")
     _add_corpus_flags(p_run)
-    _add_config_flags(p_run, PipelineConfig)
+    _add_config_flags(p_run, "run")
 
     p_synth = sub.add_parser("synth", help="write a synthetic corpus with ground truth")
     p_synth.add_argument("--out", required=True, help="output directory")
@@ -106,10 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    """Defaults, then the --config file, then the flags given."""
+    """Defaults, then the --config file, then the flags given. A file key
+    naming a setting the command does not take is skipped unparsed."""
     config = PipelineConfig()
     if args.config:
-        apply_config_values(config, load_config_file(args.config))
+        taken = {f.name for cls in _COMMAND_SETTINGS[args.command] for f in dc_fields(cls)}
+        values = load_config_file(args.config).items()
+        apply_config_values(
+            config, {k: v for k, v in values if k in taken or k not in SETTING_TYPES}
+        )
     for name, value in vars(args).items():
         if name in SETTING_TYPES:
             setattr(config, name, value)

@@ -103,7 +103,7 @@ class TooFewRows(CociteError):
     pass
 
 
-# -- synth -------------------------------------------------------------
+# -- settings ----------------------------------------------------------
 
 
 class InvalidConfig(CociteError):

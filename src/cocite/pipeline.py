@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field as dc_field, fields as dc_fields
@@ -92,12 +93,34 @@ SETTING_TYPES = get_type_hints(PipelineConfig)
 SETTING_BOUNDS = {f.name: f.metadata for f in dc_fields(PipelineConfig)}
 
 
+def check_setting(key: str, value: object) -> None:
+    """Raise ValueError if `value` is a non-finite float or lies outside the
+    bounds setting `key` declares."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite value {value!r}")
+    bounds = SETTING_BOUNDS[key]
+    if "min" in bounds and value < bounds["min"]:
+        raise ValueError(f"{value} is below {bounds['min']}")
+    if "max" in bounds and value > bounds["max"]:
+        raise ValueError(f"{value} is above {bounds['max']}")
+
+
+def check_config(config: PipelineConfig) -> None:
+    """Raise InvalidConfig if a setting fails `check_setting`. Parsing checks
+    each value it reads; a config built in code is checked only here."""
+    for key in SETTING_TYPES:
+        try:
+            check_setting(key, getattr(config, key))
+        except ValueError as exc:
+            raise InvalidConfig(f"setting {key!r}: {exc}") from None
+
+
 def parse_setting(key: str, raw: str) -> object:
     """The value of setting `key` from its text in a config file or a flag.
 
     `none` and `null` mean None only where the field's type admits it.
-    Raises ValueError if the text does not parse, names a non-finite float
-    or a value outside the field's declared bounds.
+    Raises ValueError if the text does not parse or `check_setting` rejects
+    the value.
     """
     options = get_args(SETTING_TYPES[key]) or (SETTING_TYPES[key],)
     lowered = raw.lower()
@@ -106,13 +129,7 @@ def parse_setting(key: str, raw: str) -> object:
     tp = next(t for t in options if t is not NoneType)
     if tp is not bool:
         value = tp(raw)
-        if tp is float and not math.isfinite(value):
-            raise ValueError(f"non-finite value {raw!r}")
-        bounds = SETTING_BOUNDS[key]
-        if value < bounds.get("min", value):
-            raise ValueError(f"{value} is below {bounds['min']}")
-        if value > bounds.get("max", value):
-            raise ValueError(f"{value} is above {bounds['max']}")
+        check_setting(key, value)
         return value
     if lowered in ("true", "1", "yes"):
         return True
@@ -230,20 +247,18 @@ def _pair_result(
         return mentorship.mentor_id, mentorship.mentee_id, exc.stage, str(exc)
 
 
-_WORKER_INDEX: CitationIndex | None = None
-_WORKER_PARAMS: PairParams | None = None
+_WORKER_ARGS: tuple[CitationIndex, PairParams] | None = None
 
 
 def _init_worker(index: CitationIndex, params: PairParams) -> None:
-    """Under the fork start method the worker inherits the parent's index
+    """The pool forks its workers, so each inherits the parent's index
     without a copy."""
-    global _WORKER_INDEX, _WORKER_PARAMS
-    _WORKER_INDEX = index
-    _WORKER_PARAMS = params
+    global _WORKER_ARGS
+    _WORKER_ARGS = index, params
 
 
 def _worker_pair_result(mentorship: MentorshipRecord) -> PairProfile | Failure:
-    return _pair_result(mentorship, _WORKER_INDEX, _WORKER_PARAMS)
+    return _pair_result(mentorship, *_WORKER_ARGS)
 
 
 class PairCache:
@@ -309,35 +324,37 @@ def build_profiles(
 ) -> PairStageResult:
     """Per-pair stage with fault isolation and a JSON cache in `cache_dir`.
 
-    Output order is (field, mentor_id, mentee_id) regardless of worker
-    scheduling.
+    Each profile is stored as it comes in, and stale entries are pruned only
+    after a complete stage. Output order is (field, mentor_id, mentee_id)
+    regardless of worker scheduling.
     """
-    params = config.pair_params()
     ordered = sorted(mentorships, key=lambda m: (m.field, m.mentor_id, m.mentee_id))
     cache = PairCache(cache_dir, corpus_hash, config)
 
-    results: dict[MentorshipRecord, PairProfile | Failure] = {}
-    pending: list[MentorshipRecord] = []
-    for m in ordered:
-        profile = cache.load(m)
-        if profile is None:
-            pending.append(m)
-        else:
-            results[m] = profile
+    results: dict[MentorshipRecord, PairProfile | Failure | None] = {m: cache.load(m) for m in ordered}
+    pending = [m for m, profile in results.items() if profile is None]
 
+    args = (index, config.pair_params())
+    pool = None
     if pending and config.workers > 1:
-        with ProcessPoolExecutor(
+        pool = ProcessPoolExecutor(
             max_workers=config.workers,
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=(index, params),
-        ) as pool:
-            computed = list(pool.map(_worker_pair_result, pending))
+            initargs=args,
+        )
+        computed = pool.map(_worker_pair_result, pending)
     else:
-        computed = [_pair_result(m, index, params) for m in pending]
-    for m, result in zip(pending, computed):
-        results[m] = result
-        if isinstance(result, PairProfile):
-            cache.store(m, result)
+        computed = (_pair_result(m, *args) for m in pending)
+    try:
+        for m, result in zip(pending, computed):
+            results[m] = result
+            if isinstance(result, PairProfile):
+                cache.store(m, result)
+    finally:
+        if pool is not None:
+            # After an interrupt, only the pairs already running are awaited.
+            pool.shutdown(cancel_futures=True)
     cache.prune()
 
     ordered_results = [results[m] for m in ordered]
@@ -630,6 +647,7 @@ class RunResult:
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Ingest, per-pair stage, cohort stage, report bundle, manifest."""
+    check_config(config)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -212,6 +212,36 @@ class TestErrors:
         assert f"config key {line.split('=')[0]!r}" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_config_file_keys_of_other_commands_are_skipped(self, corpus_dir, pair_run, tmp_path):
+        # n_bins=0 is out of bounds, but neither `pair` nor `ingest` reads it.
+        cfg = tmp_path / "cohort.cfg"
+        cfg.write_text("n_bins=0\n")
+        mentor, mentee = first_pair(corpus_dir)
+        out = tmp_path / "pair"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(pair_args(corpus_dir, mentor, mentee, out, "--config", str(cfg))) == 0
+        ref_dir = pair_run[0]
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in ref_dir.iterdir())
+        for path in out.iterdir():
+            assert path.read_bytes() == (ref_dir / path.name).read_bytes()
+
+        plain, configured = tmp_path / "ing", tmp_path / "ing_cfg"
+        assert main(["ingest", *corpus_args(corpus_dir), "--out", str(plain)]) == 0
+        flags = ["--out", str(configured), "--config", str(cfg)]
+        assert main(["ingest", *corpus_args(corpus_dir), *flags]) == 0
+        report = "ingest_report.csv"
+        assert (configured / report).read_bytes() == (plain / report).read_bytes()
+
+    @pytest.mark.parametrize("command", ["ingest", "pair", "run"])
+    def test_unknown_config_key_exits_two(self, corpus_dir, tmp_path, capsys, command):
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text("bogus=1\n")
+        args = [command, *corpus_args(corpus_dir), "--out", str(tmp_path / "out")]
+        if command == "pair":
+            args += ["--mentor", "m", "--mentee", "e"]
+        assert main([*args, "--config", str(cfg)]) == 2
+        assert "unknown config key 'bogus'" in capsys.readouterr().err
+
 
 class TestSinglePairCommands:
     """`cocite pair` runs the per-pair chain once and writes every stage's files."""

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -305,6 +306,85 @@ class TestRunPipeline:
         assert len(list((out / "cache").iterdir())) == result.n_profiles
         again = run_pipeline(make_config(corpus_dir, out, gamma=2.0))
         assert (again.cache_hits, again.cache_misses) == (result.n_profiles, 0)
+
+    @pytest.mark.parametrize("key, value", [("n_bins", 0), ("top_fraction", 1.5), ("gamma", -1.0)])
+    def test_config_built_in_code_is_checked(self, corpus_dir, tmp_path, key, value):
+        out = tmp_path / "run"
+        with pytest.raises(InvalidConfig, match=repr(key)):
+            run_pipeline(make_config(corpus_dir, out, **{key: value}))
+        assert not (out / "profiles.csv").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupted_stage_keeps_finished_pairs(
+        self, corpus_dir, tmp_path, monkeypatch, workers
+    ):
+        config = make_config(corpus_dir, tmp_path / "run", workers=workers)
+        mentorships = ingest_corpus(
+            config.papers, config.mentorships, config.ingest_config()
+        ).mentorships
+        ordered = sorted(mentorships, key=lambda m: (m.field, m.mentor_id, m.mentee_id))
+        k = 3
+        real = cocite.pipeline.build_pair_profile
+
+        def interrupted(mentorship, *args, **kwargs):
+            if mentorship == ordered[k - 1]:
+                raise KeyboardInterrupt
+            return real(mentorship, *args, **kwargs)
+
+        monkeypatch.setattr(cocite.pipeline, "build_pair_profile", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config)
+        cache = tmp_path / "run" / "cache"
+        expected = {
+            f"{pair_cache_key(corpus_digest(config.papers, config.mentorships), m, config)}.json"
+            for m in ordered[: k - 1]
+        }
+        assert {path.name for path in cache.iterdir()} == expected
+        assert not (tmp_path / "run" / "profiles.csv").exists()
+
+        monkeypatch.undo()
+        resumed = run_pipeline(config)
+        fresh = run_pipeline(make_config(corpus_dir, tmp_path / "fresh"))
+        assert (resumed.cache_hits, resumed.cache_misses) == (k - 1, len(ordered) - k + 1)
+        assert resumed.manifest_path.read_bytes() == fresh.manifest_path.read_bytes()
+
+    def test_interrupt_cancels_queued_pool_pairs(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_corpus(synthesize_corpus(SynthConfig(n_pairs=12, seed=0)), corpus)
+        started = tmp_path / "started"
+        real = cocite.pipeline.build_pair_profile
+
+        def slow(mentorship, *args, **kwargs):
+            with open(started, "a") as fh:
+                fh.write(mentorship.mentee_id + "\n")
+            time.sleep(0.5)
+            return real(mentorship, *args, **kwargs)
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cocite.pipeline, "build_pair_profile", slow)
+        monkeypatch.setattr(cocite.pipeline.PairCache, "store", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(make_config(corpus, tmp_path / "run", workers=2))
+        # The interrupt cancels every pair not yet handed to a worker, so
+        # only a few of the 12 ever start.
+        assert len(started.read_text().splitlines()) < 12
+
+    def test_pool_run_on_half_warm_cache(self, corpus_dir, tmp_path):
+        out = tmp_path / "run"
+        cold = run_pipeline(make_config(corpus_dir, out))
+        cold_manifest = cold.manifest_path.read_bytes()
+        entries = sorted((out / "cache").glob("*.json"))
+        for entry in entries[::2]:
+            entry.unlink()
+
+        pooled = run_pipeline(make_config(corpus_dir, out, workers=2))
+        n_deleted = len(entries[::2])
+        assert n_deleted > 0
+        assert (pooled.cache_hits, pooled.cache_misses) == (len(entries) - n_deleted, n_deleted)
+        assert pooled.manifest_path.read_bytes() == cold_manifest
+        assert sorted((out / "cache").iterdir()) == entries
 
     def test_pool_workers_do_not_reingest(self, corpus_dir, tmp_path, monkeypatch):
         parent = os.getpid()
