@@ -19,7 +19,7 @@ from typing import Any
 from . import __version__
 from .corpus import IngestConfig, MentorshipRecord, ingest_corpus
 from .distance import DistanceResult
-from .errors import CociteError, NoFinitePaths
+from .errors import CociteError
 from .pairgraph import PairGraph
 from .pipeline import (
     CAREER_COLUMNS,
@@ -212,9 +212,6 @@ def _cmd_pair(args: argparse.Namespace) -> int:
             )
             print(f"C_e_total: {result.mentee_total!r}")
             print(f"C_r_total: {result.mentor_total!r}")
-        elif isinstance(result, NoFinitePaths):
-            # As in `cocite run`, the pair goes on without a distance.
-            print(f"warning: stage distance: NoFinitePaths: {result}", file=sys.stderr)
         else:
             write_csv(
                 out / "distance.csv", [f.name for f in dc_fields(DistanceResult)], [astuple(result)]

@@ -71,6 +71,8 @@ class EmptyCohort(CociteError):
 class NoFinitePaths(CociteError):
     """No finite cross-pair path exists and no substitute length is defined."""
 
+    stage = "distance"
+
 
 # -- stats -------------------------------------------------------------
 

@@ -442,15 +442,18 @@ def cohort_outputs(
     emit("profiles.csv", header, rows)
 
     # Distributions.
-    ccdf_rows: list[Sequence[object]] = []
-    for name, values in (
-        ("C_e_total", [p.mentee_total_impact for p in profiles]),
-        ("C_r_total", [p.mentor_total_impact for p in profiles]),
-    ):
-        if values:
-            xs, ps = ccdf(values)
-            ccdf_rows += [(name, float(x), float(pr)) for x, pr in zip(xs, ps)]
-    emit("ccdf.csv", ["distribution", "x", "p_greater"], ccdf_rows)
+    emit_guarded(
+        "ccdf.csv",
+        ["distribution", "x", "p_greater"],
+        lambda: [
+            (name, float(x), float(p_greater))
+            for name, values in (
+                ("C_e_total", [p.mentee_total_impact for p in profiles]),
+                ("C_r_total", [p.mentor_total_impact for p in profiles]),
+            )
+            for x, p_greater in zip(*ccdf(values))
+        ],
+    )
 
     # Strategy mix.
     strat_counts: dict[str, int] = {}
@@ -460,7 +463,7 @@ def cohort_outputs(
     emit(
         "strategy_fractions.csv",
         ["strategy", "count", "fraction"],
-        [(s, c, c / total if total else math.nan) for s, c in sorted(strat_counts.items())],
+        [(s, c, c / total) for s, c in sorted(strat_counts.items())],
     )
 
     # Topic count histogram.
@@ -582,13 +585,7 @@ def cohort_outputs(
 
     # Distance-impact curve and quadratic fit on the regression cohort.
     table = regression_table(profiles, config)
-    points = [
-        (x, y)
-        for x, y in zip(table["ave_distance"], table[LADDER_OUTCOME])
-        if math.isfinite(x) and math.isfinite(y)
-    ]
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
+    xs, ys = table["ave_distance"], table[LADDER_OUTCOME]
 
     def curve_rows() -> list[Sequence[object]]:
         curve = equal_count_bins(xs, ys, n_bins=config.n_bins)
@@ -693,7 +690,6 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         "cache_hits": stage.cache_hits,
         "cache_misses": stage.cache_misses,
         "cache_corrupt": stage.cache_corrupt,
-        "distance_failed": sum(p.distance_failed for p in stage.profiles),
         "distance_substituted": sum(p.distance_substituted for p in stage.profiles),
         "empty_outputs": empty_outputs,
         "workers": config.workers,

@@ -22,8 +22,7 @@ from .career import (
 )
 from .community import DetectionConfig, detect_topics
 from .corpus import CitationIndex, MentorshipRecord, cohort_flags
-from .distance import DistanceResult, average_distance
-from .errors import NoFinitePaths
+from .distance import average_distance
 from .impact import allocate_impact
 from .pairgraph import Authorship, build_pair_graph
 from .topics import (
@@ -45,7 +44,6 @@ class PairParams(DetectionConfig):
 
     exclude_self_cocitation: bool = False
     include_joint_self_pairs: bool = True
-    # A negative window counts no citation at all.
     citation_window: int = dc_field(default=5, metadata={"min": 0})
 
 
@@ -88,14 +86,12 @@ class PairProfile:
     n_distance_pairs: int
     n_disconnected: int
     distance_substituted: bool
-    distance_failed: bool
 
     mentee_total_impact: float = _columns(C_e_total=_same)
     mentor_total_impact: float = _columns(C_r_total=_same)
     zero_impact: bool
 
     mentee_citation_total: int
-    mentor_citation_total: int
 
     first_pub_year_mte: int
     first_pub_year_mto: int
@@ -188,16 +184,6 @@ def _no_hook(stage: str, result: Any) -> None:
     pass
 
 
-# What a profile records for a pair whose distance raised NoFinitePaths.
-_NO_DISTANCE = DistanceResult(
-    ave_distance=math.nan,
-    n_pairs=0,
-    n_disconnected=0,
-    max_finite_distance=None,
-    substituted=False,
-)
-
-
 def build_pair_profile(
     mentorship: MentorshipRecord,
     index: CitationIndex,
@@ -207,18 +193,15 @@ def build_pair_profile(
 ) -> PairProfile:
     """Run the full per-pair chain and assemble the profile.
 
-    A disconnected distance computation with nothing to substitute leaves
-    ave_distance as NaN and flags the failure; structural problems (no
-    retained topics, mentee without topics, an author without papers)
-    propagate to the caller for fault isolation, with the stage in the
-    error's `stage`.
+    A stage that cannot compute its result (an author without papers, no
+    retained topics, a mentee without topics, no finite distance) raises to
+    the caller for fault isolation, with the stage in the error's `stage`.
 
     `on_stage` is called after each stage, in this order, with the stage
     name and its result: "pairs" (the PairGraph), "detect" (the
     TopicAssignment), "classify" (the TopicTyping and StrategyRecord),
-    "impact" (the ImpactAllocation) and "distance" (the DistanceResult, or
-    the NoFinitePaths it raised). The career stage's result is the profile
-    returned.
+    "impact" (the ImpactAllocation) and "distance" (the DistanceResult).
+    The career stage's result is the profile returned.
     """
     p = params or PairParams()
     mentor_id, mentee_id = mentorship.mentor_id, mentorship.mentee_id
@@ -235,13 +218,8 @@ def build_pair_profile(
     allocation = allocate_impact(graph, assignment, index)
     on_stage("impact", allocation)
 
-    try:
-        dist = average_distance(graph, include_joint_self_pairs=p.include_joint_self_pairs)
-    except NoFinitePaths as exc:
-        on_stage("distance", exc)
-        dist = _NO_DISTANCE
-    else:
-        on_stage("distance", dist)
+    dist = average_distance(graph, include_joint_self_pairs=p.include_joint_self_pairs)
+    on_stage("distance", dist)
 
     mentee_rows = typed_contributions(allocation, typing, index, "mentee")
     mentor_rows = typed_contributions(allocation, typing, index, "mentor")
@@ -295,14 +273,12 @@ def build_pair_profile(
         n_distance_pairs=dist.n_pairs,
         n_disconnected=dist.n_disconnected,
         distance_substituted=dist.substituted,
-        distance_failed=dist is _NO_DISTANCE,
         mentee_total_impact=allocation.mentee_total,
         mentor_total_impact=allocation.mentor_total,
         mentee_impact_by_type=mentee_by_type,
         mentor_impact_by_type=mentor_by_type,
         zero_impact=allocation.mentee_total == 0.0,
         mentee_citation_total=mte_citations,
-        mentor_citation_total=mto_citations,
         first_pub_year_mte=flags_mte.first_pub_year,
         first_pub_year_mto=flags_mto.first_pub_year,
         career_len_mte=flags_mte.career_len,

@@ -347,20 +347,22 @@ class TestSinglePairCommands:
         for name in ("strategy.csv", "impact.csv", "career.csv"):
             assert not (out / name).exists()
 
-    def test_no_finite_paths_carries_on(self, corpus_dir, tmp_path, capsys, monkeypatch):
-        # As in `cocite run`, a pair without a distance still gets its career.
+    def test_no_finite_paths_fails_at_distance(self, corpus_dir, tmp_path, capsys, monkeypatch):
         def no_paths(graph, include_joint_self_pairs=True):
             raise NoFinitePaths("disconnected pairs with no finite distance to substitute")
 
         monkeypatch.setattr(profiles, "average_distance", no_paths)
         mentor, mentee = first_pair(corpus_dir)
         out = tmp_path / "nopaths"
-        assert main(pair_args(corpus_dir, mentor, mentee, out)) == 0
+        assert main(pair_args(corpus_dir, mentor, mentee, out)) == 2
         captured = capsys.readouterr()
-        assert "stage distance: NoFinitePaths" in captured.err
+        assert "error: stage distance: NoFinitePaths: " in captured.err
         assert "ave_distance" not in captured.out
-        assert not (out / "distance.csv").exists()
-        assert (out / "career.csv").is_file()
+        earlier = ("nodes", "edges", "topics", "topic_types", "strategy", "impact", "impact_topics")
+        for name in earlier:
+            assert (out / f"{name}.csv").is_file()
+        for name in ("distance.csv", "career.csv"):
+            assert not (out / name).exists()
 
     def test_help_lists_every_pair_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,8 @@ import time
 import pytest
 
 import cocite.pipeline
-from cocite.errors import InvalidConfig
+import cocite.profiles
+from cocite.errors import InvalidConfig, NoFinitePaths
 from cocite.pipeline import (
     PipelineConfig,
     apply_config_values,
@@ -32,6 +33,11 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     write_corpus(synthesize_corpus(SynthConfig(n_pairs=4, seed=3)), out)
     return out
+
+
+def read_dicts(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def make_config(corpus_dir, out_dir, **kwargs) -> PipelineConfig:
@@ -255,15 +261,15 @@ class TestRunPipeline:
             "cache_hits",
             "cache_misses",
             "cache_corrupt",
-            "distance_failed",
             "distance_substituted",
             "empty_outputs",
             "workers",
         }
         with (result.out_dir / "profiles.csv").open(newline="") as f:
             rows = list(csv.DictReader(f))
-        for flag in ("distance_failed", "distance_substituted"):
-            assert stats[flag] == sum(row[flag] == "true" for row in rows)
+        assert stats["distance_substituted"] == sum(
+            row["distance_substituted"] == "true" for row in rows
+        )
 
     def test_truncated_cache_entry_is_recomputed(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
@@ -288,6 +294,58 @@ class TestRunPipeline:
         assert empty["regression.csv"].startswith("RankDeficient: ")
         for name in empty:
             assert len((result.out_dir / name).read_text().splitlines()) == 1
+
+    def test_no_mentorship_leaves_cohort_outputs_header_only(self, corpus_dir, tmp_path):
+        result = run_pipeline(make_config(corpus_dir, tmp_path / "run", min_papers=10**6))
+        assert result.n_profiles == 0
+        empty = json.loads((result.out_dir / "run_stats.json").read_text())["empty_outputs"]
+        assert empty["ccdf.csv"].startswith("EmptyInput: ")
+        for name in empty:
+            assert len((result.out_dir / name).read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_finite_paths_fails_only_its_pair(
+        self, corpus_dir, tmp_path, monkeypatch, workers
+    ):
+        fresh = run_pipeline(make_config(corpus_dir, tmp_path / "fresh"))
+        fresh_rows = read_dicts(fresh.out_dir / "profiles.csv")
+        mentor, mentee = fresh_rows[0]["mentor_id"], fresh_rows[0]["mentee_id"]
+        reason = "disconnected pairs with no finite distance to substitute"
+        real = cocite.profiles.average_distance
+
+        def no_paths_for_one_pair(graph, **kwargs):
+            if (graph.mentor_id, graph.mentee_id) == (mentor, mentee):
+                raise NoFinitePaths(reason)
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(cocite.profiles, "average_distance", no_paths_for_one_pair)
+        result = run_pipeline(make_config(corpus_dir, tmp_path / "run", workers=workers))
+        failures = read_dicts(result.out_dir / "failures.csv")
+        expected = {"mentor_id": mentor, "mentee_id": mentee, "stage": "distance", "reason": reason}
+        assert expected in failures
+        others = [row for row in failures if row != expected]
+        assert others == read_dicts(fresh.out_dir / "failures.csv")
+
+        # Elite flags are cohort-wide, so they may move when a pair leaves.
+        def per_pair(row):
+            return {k: v for k, v in row.items() if k not in ("is_elite", "outperforming")}
+
+        rows = read_dicts(result.out_dir / "profiles.csv")
+        assert list(map(per_pair, rows)) == list(map(per_pair, fresh_rows[1:]))
+
+    def test_cache_entries_with_dropped_fields_are_hits(self, corpus_dir, tmp_path):
+        # Entries written while profiles still held distance_failed and
+        # mentor_citation_total decode to the same profiles.
+        out = tmp_path / "run"
+        cold = run_pipeline(make_config(corpus_dir, out))
+        cold_manifest = cold.manifest_path.read_bytes()
+        for entry in (out / "cache").glob("*.json"):
+            d = json.loads(entry.read_text())
+            d |= {"distance_failed": False, "mentor_citation_total": d["mto_citation_impact"]}
+            entry.write_text(json.dumps(d, sort_keys=True))
+        warm = run_pipeline(make_config(corpus_dir, out))
+        assert (warm.cache_hits, warm.cache_misses) == (cold.n_profiles, 0)
+        assert warm.manifest_path.read_bytes() == cold_manifest
 
     def test_cohort_setting_reuses_cache(self, corpus_dir, tmp_path):
         warm_dir = tmp_path / "warm"

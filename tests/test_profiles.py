@@ -5,13 +5,16 @@ import math
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cocite.corpus import CitationIndex, MentorshipRecord
-from cocite.errors import EmptyPair
+from cocite.errors import CociteError, EmptyPair, NoRetainedTopics
 from cocite.pipeline import PipelineConfig
 from cocite.profiles import PairParams, PairProfile, build_pair_profile
 from cocite.synth import SynthConfig, synthesize_corpus
 from cocite.topics import TopicType
+
+from helpers import make_index, paper, random_pair_corpus
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +76,6 @@ class TestAssembly:
     def test_distance_block_is_finite_here(self, built):
         _, profiles = built
         for profile in profiles.values():
-            assert not profile.distance_failed
             assert math.isfinite(profile.ave_distance)
             assert profile.ave_distance_sq == profile.ave_distance * profile.ave_distance
             assert profile.n_distance_pairs > 0
@@ -110,10 +112,47 @@ class TestRoundTrip:
         profile = next(iter(profiles.values()))
         d = profile.to_dict()
         d["ave_distance"] = math.nan
-        d["distance_failed"] = True
         clone = PairProfile.from_dict(json.loads(json.dumps(d)))
         assert math.isnan(clone.ave_distance)
-        assert clone.distance_failed
+
+
+class TestDistanceStage:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        min_community_size=st.sampled_from([0, 1, 2, 10]),
+        include_joint_self_pairs=st.booleans(),
+        exclude_self_cocitation=st.booleans(),
+    )
+    def test_distance_follows_every_classified_pair(
+        self, seed, min_community_size, include_joint_self_pairs, exclude_self_cocitation
+    ):
+        # A retained topic is a community of connected papers, so a pair that
+        # gets past classify has an edge and a finite distance to substitute.
+        records, mentor, mentee, _ = random_pair_corpus(seed)
+        params = PairParams(
+            min_community_size=min_community_size,
+            include_joint_self_pairs=include_joint_self_pairs,
+            exclude_self_cocitation=exclude_self_cocitation,
+        )
+        m = MentorshipRecord(mentor, mentee, None, "f")
+        try:
+            build_pair_profile(m, CitationIndex(records), params)
+        except CociteError as exc:
+            assert exc.stage != "distance"
+
+    @pytest.mark.parametrize("include_joint_self_pairs", [True, False])
+    @pytest.mark.parametrize("min_community_size", [0, 1])
+    def test_one_joint_paper_keeps_no_topic(self, min_community_size, include_joint_self_pairs):
+        # The one-node graph has no edge, so detect ends the pair before the
+        # distance stage, which has no pair to average without self pairs.
+        index = make_index(paper("j", ("R", "E")), paper("c", "x", refs=("j",)))
+        params = PairParams(
+            min_community_size=min_community_size,
+            include_joint_self_pairs=include_joint_self_pairs,
+        )
+        with pytest.raises(NoRetainedTopics):
+            build_pair_profile(MentorshipRecord("R", "E", None, "f"), index, params)
 
 
 class TestParams:

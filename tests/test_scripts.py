@@ -105,6 +105,26 @@ def test_benchmark_trace(synth_corpus, tmp_path):
     assert ingest["counts"]["papers"] == in_window
 
 
+def test_benchmark_output_checks():
+    # The benchmark's checks read the outputs by column name, so an output
+    # change that breaks them fails here.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "pytest",
+            "-q",
+            "benchmark/test_checks.py::test_sparse_output_passes",
+            "benchmark/test_checks.py::test_dense_output_passes",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_benchmark_setup_probe(synth_corpus):
     proc = run_script("setup_probe.py", *map(str, synth_corpus), folder="benchmark")
     assert proc.returncode == 0, proc.stderr
