@@ -103,13 +103,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p_run)
     _add_config_flags(p_run, "run")
 
-    p_synth = sub.add_parser("synth", help="write a synthetic corpus with ground truth")
+    # Each synth flag is stored under its SynthConfig field, and a flag left
+    # out sets nothing, so the default is the field's.
+    p_synth = sub.add_parser(
+        "synth",
+        help="write a synthetic corpus with ground truth",
+        argument_default=argparse.SUPPRESS,
+    )
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--pairs", type=int, default=8)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--p-in", type=float, default=0.9, dest="p_in")
-    p_synth.add_argument("--p-out", type=float, default=0.02, dest="p_out")
-    p_synth.add_argument("--fields", default="fieldA,fieldB")
+    p_synth.add_argument("--pairs", type=int, dest="n_pairs")
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--p-in", type=float)
+    p_synth.add_argument("--p-out", type=float)
+    p_synth.add_argument("--fields", type=lambda raw: tuple(raw.split(",")))
     return parser
 
 
@@ -239,15 +245,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    corpus = synthesize_corpus(
-        SynthConfig(
-            n_pairs=args.pairs,
-            seed=args.seed,
-            p_in=args.p_in,
-            p_out=args.p_out,
-            fields=tuple(args.fields.split(",")),
-        )
-    )
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    corpus = synthesize_corpus(SynthConfig(**given))
     papers_path, mentorships_path, truth_path = write_corpus(corpus, args.out)
     print(f"papers: {papers_path}")
     print(f"mentorships: {mentorships_path}")

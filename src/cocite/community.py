@@ -188,22 +188,12 @@ def detect_topics(graph: PairGraph, config: DetectionConfig | None = None) -> To
     modularity is that of the unfiltered detected partition.
     """
     cfg = config or DetectionConfig()
-    weighted = graph.as_weighted()
-    isolated = sorted(n for n, nbrs in weighted.items() if not nbrs)
     # louvain and modularity only read their input, so the rows are shared.
-    connected = {u: nbrs for u, nbrs in weighted.items() if nbrs}
-
-    if connected:
-        raw = louvain(connected, gamma=cfg.gamma, seed=cfg.seed)
-    else:
-        raw = {}
-
-    # Pre-filter modularity over the whole graph; isolated nodes contribute
-    # nothing to Q regardless of community, so park them in singletons.
-    full_partition: dict[str, Hashable] = dict(raw)
-    for i, n in enumerate(isolated):
-        full_partition[n] = ("isolated", i)
-    q = modularity(weighted, full_partition, gamma=cfg.gamma)
+    connected = {u: nbrs for u, nbrs in graph.as_weighted().items() if nbrs}
+    raw = louvain(connected, gamma=cfg.gamma, seed=cfg.seed)
+    # An isolated paper has degree 0 and adds exactly 0.0 to Q, so this is
+    # also the pre-filter modularity of the whole graph.
+    q = modularity(connected, raw, gamma=cfg.gamma)
 
     groups: dict[int, list[str]] = {}
     for node, c in raw.items():

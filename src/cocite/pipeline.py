@@ -16,6 +16,7 @@ import json
 import math
 import multiprocessing
 import os
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
@@ -25,8 +26,16 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, ge
 from . import __version__
 from .career import cohort_average_series
 from .corpus import CitationIndex, IngestConfig, MentorshipRecord, ingest_corpus
-from .errors import CociteError, InvalidConfig, ZeroImpact
-from .profiles import PROFILE_COLUMNS, PairParams, PairProfile, build_pair_profile, encode
+from .errors import CociteError, InvalidConfig
+from .profiles import (
+    MENTEE_TYPES,
+    MENTOR_TYPES,
+    PROFILE_COLUMNS,
+    PairParams,
+    PairProfile,
+    build_pair_profile,
+    encode,
+)
 from .stats import (
     LADDER_COLUMNS,
     LADDER_OUTCOME,
@@ -38,7 +47,7 @@ from .stats import (
     quadrant_counts,
     ternary_shares,
 )
-from .topics import TopicType, flag_elites, is_outperforming
+from .topics import flag_elites, is_outperforming
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -419,213 +428,150 @@ def cohort_outputs(
     profiles: Sequence[PairProfile], config: PipelineConfig, out_dir: Path
 ) -> tuple[list[str], dict[str, str]]:
     """Write every cohort-level CSV. Returns the file names written and, for
-    each file left header-only because its statistic could not be computed,
-    the reason."""
-    written: list[str] = []
-    empty: dict[str, str] = {}
+    each file left header-only, the reason: the error that stopped its
+    statistic, or "no rows"."""
+    profile_header, profile_rows = profile_table(profiles)
+    table = regression_table(profiles, config)
+    xs, ys = table["ave_distance"], table[LADDER_OUTCOME]
 
-    def emit(name: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-        write_csv(out_dir / name, header, rows)
-        written.append(name)
+    def ccdf_rows() -> Iterator[Sequence[object]]:
+        for name, values in (
+            ("C_e_total", [p.mentee_total_impact for p in profiles]),
+            ("C_r_total", [p.mentor_total_impact for p in profiles]),
+        ):
+            for x, p_greater in zip(*ccdf(values)):
+                yield name, float(x), float(p_greater)
 
-    def emit_guarded(
-        name: str, header: Sequence[str], rows: Callable[[], list[Sequence[object]]]
-    ) -> None:
-        try:
-            computed = rows()
-        except CociteError as exc:
-            computed = []
-            empty[name] = f"{type(exc).__name__}: {exc}"
-        emit(name, header, computed)
+    def strategy_rows() -> list[Sequence[object]]:
+        counts = Counter(p.strategy.value for p in profiles)
+        return [(s, c, c / len(profiles)) for s, c in sorted(counts.items())]
 
-    header, rows = profile_table(profiles)
-    emit("profiles.csv", header, rows)
-
-    # Distributions.
-    emit_guarded(
-        "ccdf.csv",
-        ["distribution", "x", "p_greater"],
-        lambda: [
-            (name, float(x), float(p_greater))
-            for name, values in (
-                ("C_e_total", [p.mentee_total_impact for p in profiles]),
-                ("C_r_total", [p.mentor_total_impact for p in profiles]),
-            )
-            for x, p_greater in zip(*ccdf(values))
-        ],
-    )
-
-    # Strategy mix.
-    strat_counts: dict[str, int] = {}
-    for p in profiles:
-        strat_counts[p.strategy.value] = strat_counts.get(p.strategy.value, 0) + 1
-    total = len(profiles)
-    emit(
-        "strategy_fractions.csv",
-        ["strategy", "count", "fraction"],
-        [(s, c, c / total) for s, c in sorted(strat_counts.items())],
-    )
-
-    # Topic count histogram.
-    topic_hist: dict[int, int] = {}
-    for p in profiles:
-        topic_hist[p.n_topics] = topic_hist.get(p.n_topics, 0) + 1
-    emit("topic_counts.csv", ["n_topics", "count"], sorted(topic_hist.items()))
-
-    # Raw per-type impact values.
-    emit(
-        "impact_ratios.csv",
-        [
-            "mentor_id",
-            "mentee_id",
-            "C_e_primary",
-            "C_e_secondary",
-            "C_e_new",
-            "C_r_primary",
-            "C_r_secondary",
-            "C_e_total",
-            "C_r_total",
-        ],
-        [
-            (
-                p.mentor_id,
-                p.mentee_id,
-                p.mentee_impact_by_type[TopicType.PRIMARY],
-                p.mentee_impact_by_type[TopicType.SECONDARY],
-                p.mentee_impact_by_type[TopicType.NEW],
-                p.mentor_impact_by_type[TopicType.PRIMARY],
-                p.mentor_impact_by_type[TopicType.SECONDARY],
-                p.mentee_total_impact,
-                p.mentor_total_impact,
-            )
-            for p in profiles
-        ],
-    )
-
-    # Normalized ternary shares; zero-impact pairs are skipped and counted.
-    ternary_rows: list[Sequence[object]] = []
-    n_zero = 0
-    for p in profiles:
-        try:
-            sp, ss, sn = ternary_shares(p.mentee_impact_by_type)
-        except ZeroImpact:
-            n_zero += 1
-            continue
-        ternary_rows.append((p.mentor_id, p.mentee_id, sp, ss, sn))
-    emit(
-        "ternary.csv",
-        ["mentor_id", "mentee_id", "share_primary", "share_secondary", "share_new"],
-        ternary_rows,
-    )
-
-    # Quadrants of (mentee - mentor) primary/secondary impact deltas.
-    deltas = [
-        (
-            p.mentee_impact_by_type[TopicType.PRIMARY] - p.mentor_impact_by_type[TopicType.PRIMARY],
-            p.mentee_impact_by_type[TopicType.SECONDARY] - p.mentor_impact_by_type[TopicType.SECONDARY],
+    def quadrant_rows() -> list[Sequence[object]]:
+        # Quadrants of the (mentee - mentor) primary and secondary impact deltas.
+        counts = quadrant_counts(
+            [
+                tuple(p.mentee_impact_by_type[t] - p.mentor_impact_by_type[t] for t in MENTOR_TYPES)
+                for p in profiles
+            ]
         )
-        for p in profiles
-    ]
-    counts = quadrant_counts(deltas)
-    emit(
-        "quadrants.csv",
-        ["quadrant", "count", "fraction"],
-        [(q, counts[q], counts[q] / total if total else math.nan) for q in (1, 2, 3, 4)],
-    )
+        return [(q, counts[q], counts[q] / len(profiles)) for q in (1, 2, 3, 4)]
 
-    # Per-pair career series (long format) and cohort averages by group.
-    emit(
-        "pair_series.csv",
-        ["mentor_id", "mentee_id", *CAREER_COLUMNS],
-        [(p.mentor_id, p.mentee_id, *row) for p in profiles for row in career_rows(p)],
-    )
-
-    series_rows: list[Sequence[object]] = []
-    for role in ("mentee", "mentor"):
+    def career_series_rows() -> Iterator[Sequence[object]]:
+        """Cohort-average career series by role and elite group."""
         groups = {
             "all": profiles,
             "elite": [p for p in profiles if p.is_elite],
             "non_elite": [p for p in profiles if not p.is_elite],
         }
-        for group in ("all", "elite", "non_elite"):
-            members = groups[group]
-            if not members:
-                continue
-            serieses = [
-                p.mentee_series if role == "mentee" else p.mentor_series for p in members
-            ]
-            means, ns = cohort_average_series(serieses)
-            series_rows += [
-                (role, group, y, means[y], ns[y]) for y in range(len(means))
-            ]
-    emit(
-        "career_series.csv",
-        ["role", "group", "career_year", "mean_cumulative", "n_contributors"],
-        series_rows,
-    )
+        for role in ("mentee", "mentor"):
+            for group, members in groups.items():
+                if members:
+                    serieses = [getattr(p, f"{role}_series") for p in members]
+                    means, ns = cohort_average_series(serieses)
+                    for y in range(len(means)):
+                        yield role, group, y, means[y], ns[y]
 
-    # Cohort-mean decade composition by topic type.
-    decade_acc: dict[tuple[str, int, str], list[float]] = {}
-    for p in profiles:
-        for role, ratios in (
-            ("mentee", p.mentee_decade_ratios),
-            ("mentor", p.mentor_decade_ratios),
-        ):
-            for decade, kinds in ratios.items():
-                for kind, value in kinds.items():
-                    decade_acc.setdefault((role, decade, kind.value), []).append(value)
-    emit(
-        "decade_ratios.csv",
-        ["role", "decade", "topic_type", "mean_ratio", "n_pairs"],
-        [
-            (role, decade, kind, math.fsum(vals) / len(vals), len(vals))
-            for (role, decade, kind), vals in sorted(decade_acc.items())
-        ],
-    )
-
-    # Distance-impact curve and quadratic fit on the regression cohort.
-    table = regression_table(profiles, config)
-    xs, ys = table["ave_distance"], table[LADDER_OUTCOME]
+    def decade_rows() -> list[Sequence[object]]:
+        """Cohort-mean decade composition by topic type."""
+        acc: defaultdict[tuple[str, int, str], list[float]] = defaultdict(list)
+        for p in profiles:
+            for role in ("mentee", "mentor"):
+                for decade, kinds in getattr(p, f"{role}_decade_ratios").items():
+                    for kind, value in kinds.items():
+                        acc[role, decade, kind.value].append(value)
+        return [(*key, math.fsum(vals) / len(vals), len(vals)) for key, vals in sorted(acc.items())]
 
     def curve_rows() -> list[Sequence[object]]:
         curve = equal_count_bins(xs, ys, n_bins=config.n_bins)
-        return [
-            (i, curve.mean_x[i], curve.mean_y[i], curve.counts[i])
-            for i in range(len(curve.mean_x))
-        ]
+        return [(i, *row) for i, row in enumerate(zip(curve.mean_x, curve.mean_y, curve.counts))]
 
     def regression_rows() -> list[Sequence[object]]:
         ladder = fit_model_ladder(table, log1p_outcome=config.log1p_outcome)
         return [
-            (
-                model_name,
-                name,
-                res.beta[i],
-                res.se[i],
-                res.t[i],
-                res.p[i],
-                res.r2,
-                res.adj_r2,
-                res.n,
-                res.df,
-            )
-            for model_name, res in ladder.models
+            (model, name, res.beta[i], res.se[i], res.t[i], res.p[i], res.r2, res.adj_r2, res.n, res.df)
+            for model, res in ladder.models
             for i, name in enumerate(res.names)
         ]
 
-    emit_guarded("curve.csv", ["bin", "mean_x", "mean_y", "count"], curve_rows)
-    emit_guarded(
-        "fit.csv",
-        [f.name for f in dc_fields(QuadraticFit)],
-        lambda: [astuple(fit_quadratic(xs, ys))],
-    )
-    emit_guarded(
-        "regression.csv",
-        ["model", "term", "beta", "se", "t", "p", "r2", "adj_r2", "n", "df"],
-        regression_rows,
-    )
+    # Every cohort output, in the order written: name -> (header, rows).
+    outputs: dict[str, tuple[Sequence[str], Callable[[], Iterable[Sequence[object]]]]] = {
+        "profiles.csv": (profile_header, lambda: profile_rows),
+        "ccdf.csv": (["distribution", "x", "p_greater"], ccdf_rows),
+        "strategy_fractions.csv": (["strategy", "count", "fraction"], strategy_rows),
+        "topic_counts.csv": (
+            ["n_topics", "count"],
+            lambda: sorted(Counter(p.n_topics for p in profiles).items()),
+        ),
+        "impact_ratios.csv": (
+            [
+                "mentor_id",
+                "mentee_id",
+                "C_e_primary",
+                "C_e_secondary",
+                "C_e_new",
+                "C_r_primary",
+                "C_r_secondary",
+                "C_e_total",
+                "C_r_total",
+            ],
+            lambda: [
+                (
+                    p.mentor_id,
+                    p.mentee_id,
+                    *(p.mentee_impact_by_type[t] for t in MENTEE_TYPES),
+                    *(p.mentor_impact_by_type[t] for t in MENTOR_TYPES),
+                    p.mentee_total_impact,
+                    p.mentor_total_impact,
+                )
+                for p in profiles
+            ],
+        ),
+        # Every contribution is >= 0, so zero_impact marks exactly the pairs
+        # whose shares have no total to normalise by.
+        "ternary.csv": (
+            ["mentor_id", "mentee_id", "share_primary", "share_secondary", "share_new"],
+            lambda: [
+                (p.mentor_id, p.mentee_id, *ternary_shares(p.mentee_impact_by_type))
+                for p in profiles
+                if not p.zero_impact
+            ],
+        ),
+        "quadrants.csv": (["quadrant", "count", "fraction"], quadrant_rows),
+        "pair_series.csv": (
+            ["mentor_id", "mentee_id", *CAREER_COLUMNS],
+            lambda: [(p.mentor_id, p.mentee_id, *row) for p in profiles for row in career_rows(p)],
+        ),
+        "career_series.csv": (
+            ["role", "group", "career_year", "mean_cumulative", "n_contributors"],
+            career_series_rows,
+        ),
+        "decade_ratios.csv": (
+            ["role", "decade", "topic_type", "mean_ratio", "n_pairs"],
+            decade_rows,
+        ),
+        # Distance-impact curve, quadratic fit and model ladder on the
+        # regression cohort.
+        "curve.csv": (["bin", "mean_x", "mean_y", "count"], curve_rows),
+        "fit.csv": (
+            [f.name for f in dc_fields(QuadraticFit)],
+            lambda: [astuple(fit_quadratic(xs, ys))],
+        ),
+        "regression.csv": (
+            ["model", "term", "beta", "se", "t", "p", "r2", "adj_r2", "n", "df"],
+            regression_rows,
+        ),
+    }
 
-    return written, empty
+    empty: dict[str, str] = {}
+    for name, (header, rows) in outputs.items():
+        try:
+            computed, reason = list(rows()), "no rows"
+        except CociteError as exc:
+            computed, reason = [], f"{type(exc).__name__}: {exc}"
+        if not computed:
+            empty[name] = reason
+        write_csv(out_dir / name, header, computed)
+    return list(outputs), empty
 
 
 # ---------------------------------------------------------------------------

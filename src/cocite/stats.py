@@ -62,6 +62,8 @@ def quadrant_of(delta_primary: float, delta_secondary: float) -> int:
 
 
 def quadrant_counts(deltas: Sequence[tuple[float, float]]) -> dict[int, int]:
+    if len(deltas) == 0:
+        raise EmptyInput("no pairs for quadrant counts")
     counts = {1: 0, 2: 0, 3: 0, 4: 0}
     for dp, ds in deltas:
         counts[quadrant_of(dp, ds)] += 1

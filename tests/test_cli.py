@@ -14,6 +14,7 @@ from cocite.cli import _OFF_FLAGS, build_parser, config_from_args, main
 from cocite.corpus import IngestConfig
 from cocite.errors import NoFinitePaths
 from cocite.profiles import PairParams
+from cocite.synth import SynthConfig, synthesize_corpus, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -437,3 +438,22 @@ class TestRunCommand:
         assert "mentorships kept: 4" in capsys.readouterr().out
         report = (out / "ingest_report.csv").read_text().splitlines()
         assert report[0] == "stage,reason,count"
+
+
+class TestSynthCommand:
+    @pytest.mark.parametrize(
+        "flags,config",
+        [
+            ([], SynthConfig()),
+            (
+                ["--p-in", "0.5", "--p-out", "0.1", "--fields", "x,y"],
+                SynthConfig(p_in=0.5, p_out=0.1, fields=("x", "y")),
+            ),
+            (["--pairs", "5", "--seed", "7"], SynthConfig(n_pairs=5, seed=7)),
+        ],
+    )
+    def test_flags_give_the_config_corpus(self, tmp_path, flags, config):
+        assert main(["synth", "--out", str(tmp_path / "cli"), *flags]) == 0
+        write_corpus(synthesize_corpus(config), tmp_path / "api")
+        for name in ("papers.jsonl", "mentorships.jsonl", "ground_truth.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()

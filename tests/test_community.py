@@ -19,7 +19,13 @@ from cocite.community import (
 from cocite.errors import PartitionMismatch
 from cocite.pairgraph import Authorship
 
-from helpers import graph_from_edges, naive_modularity, nmi, planted_partition_pair_graph
+from helpers import (
+    graph_from_edges,
+    naive_modularity,
+    nmi,
+    planted_partition_pair_graph,
+    random_pair_graph,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -209,6 +215,23 @@ class TestDetectTopics:
         assert result.modularity_q == pytest.approx(
             modularity(graph.as_weighted(), raw), abs=1e-15
         )
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_modularity_ignores_isolated_papers_exactly(self, gamma):
+        # With no size filter every connected paper keeps its community, so
+        # parking each isolated paper in a singleton gives the whole graph's
+        # partition; Q over it must match bit for bit.
+        n_with_isolated = 0
+        for seed in range(40):
+            graph = random_pair_graph(seed)
+            result = detect_topics(graph, DetectionConfig(gamma=gamma, min_community_size=1))
+            partition = {
+                n: ("isolated", n) if t is None else t for n, t in result.topic_of.items()
+            }
+            isolated = [n for n, t in result.topic_of.items() if t is None]
+            n_with_isolated += bool(isolated) and len(isolated) < graph.n_nodes
+            assert result.modularity_q == modularity(graph.as_weighted(), partition, gamma=gamma)
+        assert n_with_isolated >= 10
 
     def test_recovers_planted_blocks(self):
         graph, planted = planted_partition_pair_graph(seed=5)

@@ -240,6 +240,20 @@ class TestTables:
         assert len(narrow_table["ave_distance"]) == n_eligible
 
 
+def cohort_files(result):
+    """The files of a run's manifest that `cohort_outputs` wrote."""
+    files = json.loads(result.manifest_path.read_text())["files"]
+    return set(files) - {"ingest_report.csv", "failures.csv"}
+
+
+def header_only_cohort_files(result):
+    return {
+        name
+        for name in cohort_files(result)
+        if len((result.out_dir / name).read_text().splitlines()) == 1
+    }
+
+
 class TestRunPipeline:
     def test_manifest_covers_written_files(self, corpus_dir, tmp_path):
         config = make_config(corpus_dir, tmp_path / "run")
@@ -292,16 +306,17 @@ class TestRunPipeline:
         empty = json.loads((result.out_dir / "run_stats.json").read_text())["empty_outputs"]
         assert empty["curve.csv"].startswith("InsufficientData: ")
         assert empty["regression.csv"].startswith("RankDeficient: ")
-        for name in empty:
-            assert len((result.out_dir / name).read_text().splitlines()) == 1
+        assert header_only_cohort_files(result) == set(empty)
 
     def test_no_mentorship_leaves_cohort_outputs_header_only(self, corpus_dir, tmp_path):
         result = run_pipeline(make_config(corpus_dir, tmp_path / "run", min_papers=10**6))
         assert result.n_profiles == 0
         empty = json.loads((result.out_dir / "run_stats.json").read_text())["empty_outputs"]
         assert empty["ccdf.csv"].startswith("EmptyInput: ")
-        for name in empty:
-            assert len((result.out_dir / name).read_text().splitlines()) == 1
+        assert empty["quadrants.csv"].startswith("EmptyInput: ")
+        assert header_only_cohort_files(result) == cohort_files(result) == set(empty)
+        for name in cohort_files(result):
+            assert "nan" not in (result.out_dir / name).read_text()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_finite_paths_fails_only_its_pair(

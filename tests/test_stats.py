@@ -81,6 +81,10 @@ class TestQuadrants:
         assert counts == {1: 2, 2: 1, 3: 1, 4: 1}
         assert sum(counts.values()) == len(deltas)
 
+    def test_no_pairs_raises(self):
+        with pytest.raises(EmptyInput):
+            quadrant_counts([])
+
 
 class TestTernary:
     def test_normalization(self):
