@@ -17,7 +17,9 @@ from cocite.cli import main as cocite_main
 def run(pairs: int, seed: int, workdir: Path) -> None:
     corpus = workdir / "corpus"
     out = workdir / "out"
-    cocite_main(["synth", "--out", str(corpus), "--pairs", str(pairs), "--seed", str(seed)])
+    rc = cocite_main(["synth", "--out", str(corpus), "--pairs", str(pairs), "--seed", str(seed)])
+    if rc != 0:
+        raise SystemExit(rc)
     rc = cocite_main(
         [
             "run",

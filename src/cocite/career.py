@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import CitationIndex
-from .errors import EmptyCohort, MissingImpacts
 from .impact import ImpactAllocation
 from .pairgraph import MENTEE_SIDE, MENTOR_SIDE
 from .topics import TopicType, TopicTyping
@@ -40,7 +39,8 @@ def build_career_series(
     contributions: Iterable[tuple[int, float]],
     career_len: int,
 ) -> CareerSeries:
-    """Lay (career_year, share) contributions onto a dense year axis.
+    """Lay (career_year, share) contributions, each year in [0, career_len],
+    onto a dense year axis.
 
     cumulative[y] is recomputed as an fsum over the full prefix multiset
     rather than by adding increments, keeping it exactly consistent with an
@@ -48,10 +48,6 @@ def build_career_series(
     """
     per_year: dict[int, list[float]] = {}
     for year, share in contributions:
-        if year < 0 or year > career_len:
-            raise MissingImpacts(
-                f"contribution at career year {year} outside [0, {career_len}]"
-            )
         per_year.setdefault(year, []).append(share)
     yearly = []
     cumulative = []
@@ -125,14 +121,13 @@ def decade_type_ratios(
 def cohort_average_series(
     serieses: Sequence[CareerSeries],
 ) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Average cumulative impact by career year with drop-out censoring.
+    """Average cumulative impact by career year over one or more series,
+    with drop-out censoring.
 
     Year y averages only members whose career extends to y, so late years
     are not diluted by members who stopped publishing earlier. Returns the
     mean series and the contributor count per year.
     """
-    if not serieses:
-        raise EmptyCohort("no career series to average")
     horizon = max(s.career_len for s in serieses) + 1
     means = []
     counts = []

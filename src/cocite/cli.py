@@ -27,6 +27,7 @@ from .pipeline import (
     PipelineConfig,
     apply_config_values,
     career_rows,
+    check_config,
     load_config_file,
     parse_setting,
     run_pipeline,
@@ -79,6 +80,14 @@ def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
             p.add_argument(flag, dest=f.name, default=argparse.SUPPRESS, **kind)
 
 
+def _field_names(raw: str) -> tuple[str, ...]:
+    """The comma-separated field names of `synth --fields`, none empty."""
+    names = tuple(raw.split(","))
+    if "" in names:
+        raise argparse.ArgumentTypeError(f"empty field name in {raw!r}")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cocite",
@@ -115,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--p-in", type=float)
     p_synth.add_argument("--p-out", type=float)
-    p_synth.add_argument("--fields", type=lambda raw: tuple(raw.split(",")))
+    p_synth.add_argument("--fields", type=_field_names)
     return parser
 
 
@@ -246,7 +255,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     given = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
-    corpus = synthesize_corpus(SynthConfig(**given))
+    config = SynthConfig(**given)
+    check_config(config)
+    corpus = synthesize_corpus(config)
     papers_path, mentorships_path, truth_path = write_corpus(corpus, args.out)
     print(f"papers: {papers_path}")
     print(f"mentorships: {mentorships_path}")

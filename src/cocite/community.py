@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
-from .errors import PartitionMismatch
 from .pairgraph import PairGraph
 
 WeightedGraph = dict[Hashable, dict[Hashable, float]]
@@ -54,15 +53,14 @@ class TopicAssignment:
 
 
 def modularity(adj: WeightedGraph, partition: Mapping[Hashable, Hashable], gamma: float = 1.0) -> float:
-    """Modularity Q of a partition, computed in community form.
+    """Modularity Q of a partition of every node of `adj`, computed in
+    community form.
 
     Q = sum_c [ W_c / 2m - gamma * (D_c / 2m)^2 ] where W_c sums A_ij over
     ordered intra-community pairs and D_c sums member degrees. Equivalent to
     the double sum over ordered node pairs including the diagonal. An empty
     graph (2m = 0) scores 0 by convention.
     """
-    if set(partition) != set(adj):
-        raise PartitionMismatch("partition nodes do not match graph nodes")
     degree = {n: sum(nbrs.values()) for n, nbrs in adj.items()}
     two_m = sum(degree.values())
     if two_m == 0:

@@ -42,10 +42,6 @@ class EmptyPair(CociteError):
     stage = "pairs"
 
 
-class PartitionMismatch(CociteError):
-    """A partition was applied to a graph it was not computed on."""
-
-
 # -- communities / topics ----------------------------------------------
 
 
@@ -55,14 +51,6 @@ class NoRetainedTopics(CociteError):
 
 class MenteeNoTopics(CociteError):
     stage = "classify"
-
-
-class ZeroImpact(CociteError):
-    pass
-
-
-class EmptyCohort(CociteError):
-    pass
 
 
 # -- distance ----------------------------------------------------------
@@ -78,10 +66,6 @@ class NoFinitePaths(CociteError):
 
 
 class EmptyInput(CociteError):
-    pass
-
-
-class MissingImpacts(CociteError):
     pass
 
 

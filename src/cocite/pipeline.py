@@ -23,6 +23,8 @@ from pathlib import Path
 from types import NoneType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
 
+import numpy as np
+
 from . import __version__
 from .career import cohort_average_series
 from .corpus import CitationIndex, IngestConfig, MentorshipRecord, ingest_corpus
@@ -47,7 +49,6 @@ from .stats import (
     quadrant_counts,
     ternary_shares,
 )
-from .topics import flag_elites, is_outperforming
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -69,7 +70,7 @@ class PipelineConfig(PairParams, IngestConfig):
     log1p_outcome: bool = False
     regression_30y: bool = True
 
-    workers: int = 1
+    workers: int = dc_field(default=1, metadata={"min": 1})
 
     # Fields that never influence results and stay out of the config hash.
     _VOLATILE = ("papers", "mentorships", "out", "workers")
@@ -102,26 +103,26 @@ SETTING_TYPES = get_type_hints(PipelineConfig)
 SETTING_BOUNDS = {f.name: f.metadata for f in dc_fields(PipelineConfig)}
 
 
-def check_setting(key: str, value: object) -> None:
-    """Raise ValueError if `value` is a non-finite float or lies outside the
-    bounds setting `key` declares."""
+def check_setting(value: object, bounds: Mapping[str, object]) -> None:
+    """Raise ValueError if `value` is a non-finite float or lies outside
+    `bounds`, the "min" and "max" of its field's metadata."""
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r}")
-    bounds = SETTING_BOUNDS[key]
     if "min" in bounds and value < bounds["min"]:
         raise ValueError(f"{value} is below {bounds['min']}")
     if "max" in bounds and value > bounds["max"]:
         raise ValueError(f"{value} is above {bounds['max']}")
 
 
-def check_config(config: PipelineConfig) -> None:
-    """Raise InvalidConfig if a setting fails `check_setting`. Parsing checks
-    each value it reads; a config built in code is checked only here."""
-    for key in SETTING_TYPES:
+def check_config(config: object) -> None:
+    """Raise InvalidConfig if a field of the dataclass `config` fails
+    `check_setting`. Parsing checks each value it reads; a config built in
+    code is checked only here."""
+    for f in dc_fields(config):
         try:
-            check_setting(key, getattr(config, key))
+            check_setting(getattr(config, f.name), f.metadata)
         except ValueError as exc:
-            raise InvalidConfig(f"setting {key!r}: {exc}") from None
+            raise InvalidConfig(f"setting {f.name!r}: {exc}") from None
 
 
 def parse_setting(key: str, raw: str) -> object:
@@ -138,7 +139,7 @@ def parse_setting(key: str, raw: str) -> object:
     tp = next(t for t in options if t is not NoneType)
     if tp is not bool:
         value = tp(raw)
-        check_setting(key, value)
+        check_setting(value, SETTING_BOUNDS[key])
         return value
     if lowered in ("true", "1", "yes"):
         return True
@@ -346,8 +347,9 @@ def build_profiles(
     args = (index, config.pair_params())
     pool = None
     if pending and config.workers > 1:
+        # A forked pool starts all its workers at the first submit.
         pool = ProcessPoolExecutor(
-            max_workers=config.workers,
+            max_workers=min(config.workers, len(pending)),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
             initargs=args,
@@ -381,17 +383,25 @@ def build_profiles(
 
 
 def assign_elites(profiles: Sequence[PairProfile], config: PipelineConfig) -> None:
-    """Fill in elite and outperforming flags across the cohort, in place."""
-    if not profiles:
-        return
-    totals = {p.mentee_id: float(p.mentee_citation_total) for p in profiles}
-    fields = None if config.elite_global else {p.mentee_id: p.field for p in profiles}
-    flags = flag_elites(totals, fields, top_fraction=config.top_fraction)
+    """Fill in the elite and outperforming flags across the cohort, in place.
+
+    A mentee is elite when their windowed citation total reaches the cut of
+    their field, or of the whole cohort under `elite_global`: the smallest
+    total that ranks in the top `top_fraction` of its mentees. A mentee with
+    several mentors counts once, with the total and field of their last
+    profile. A pair is outperforming when its mentee is elite and their
+    allocated impact strictly exceeds their mentor's.
+    """
+    last = {p.mentee_id: p for p in profiles}
+    group = {m: None if config.elite_global else p.field for m, p in last.items()}
+    totals: defaultdict[str | None, list[int]] = defaultdict(list)
+    for m, p in last.items():
+        totals[group[m]].append(p.mentee_citation_total)
+    cut = {g: np.quantile(v, 1.0 - config.top_fraction, method="higher") for g, v in totals.items()}
     for p in profiles:
-        p.is_elite = flags[p.mentee_id]
-        p.outperforming = is_outperforming(
-            p.is_elite, p.mentee_total_impact, p.mentor_total_impact
-        )
+        # A Python bool, which _fmt writes as true or false; np.bool_ is not one.
+        p.is_elite = bool(last[p.mentee_id].mentee_citation_total >= cut[group[p.mentee_id]])
+        p.outperforming = p.is_elite and p.mentee_total_impact > p.mentor_total_impact
 
 
 def profile_table(profiles: Sequence[PairProfile]) -> tuple[list[str], list[list[object]]]:

@@ -13,14 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateX,
-    EmptyInput,
-    InsufficientData,
-    RankDeficient,
-    TooFewRows,
-    ZeroImpact,
-)
+from .errors import DegenerateX, EmptyInput, InsufficientData, RankDeficient, TooFewRows
 from .topics import TopicType
 
 # p-value cutoff for calling the quadratic term significantly negative.
@@ -71,13 +64,11 @@ def quadrant_counts(deltas: Sequence[tuple[float, float]]) -> dict[int, int]:
 
 
 def ternary_shares(by_type: Mapping[TopicType, float]) -> tuple[float, float, float]:
-    """Normalized (primary, secondary, new) impact shares for one mentee."""
+    """Normalized (primary, secondary, new) shares of a nonzero impact total."""
     p = by_type.get(TopicType.PRIMARY, 0.0)
     s = by_type.get(TopicType.SECONDARY, 0.0)
     n = by_type.get(TopicType.NEW, 0.0)
     total = p + s + n
-    if total == 0:
-        raise ZeroImpact("no allocated impact to normalize")
     return p / total, s / total, n / total
 
 
@@ -104,11 +95,10 @@ class QuadraticFit:
 
 
 def equal_count_bins(x: Sequence[float], y: Sequence[float], n_bins: int = 20) -> BinnedCurve:
-    """Bin y by x into n_bins groups of (near) equal size along sorted x."""
+    """Bin y by x, of the same length, into n_bins groups of (near) equal
+    size along sorted x."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
-    if xa.size != ya.size:
-        raise EmptyInput("x and y lengths differ")
     if xa.size < n_bins:
         raise InsufficientData(f"{xa.size} points for {n_bins} bins")
     order = np.argsort(xa, kind="stable")
@@ -180,7 +170,7 @@ def _independent_columns(x: np.ndarray, names: Sequence[str]) -> list[str]:
 
 def fit_ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> OlsResult:
     """Classical OLS with an intercept, analytic standard errors and
-    two-sided t tests.
+    two-sided t tests. Every column has the length of y.
 
     Raises TooFewRows when there are not enough rows for one residual
     degree of freedom, RankDeficient (naming the offending columns) when
@@ -191,9 +181,6 @@ def fit_ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> OlsRe
     ya = np.asarray(y, dtype=float)
     n = ya.size
     cols = [np.asarray(columns[name], dtype=float) for name in names]
-    for name, col in zip(names, cols):
-        if col.size != n:
-            raise EmptyInput(f"column {name} length {col.size} != {n}")
     design = np.column_stack([np.ones(n)] + cols)
     names = ["intercept"] + names
     k = design.shape[1]
@@ -309,17 +296,14 @@ class LadderResult:
 def fit_model_ladder(
     table: Mapping[str, Sequence[float]], log1p_outcome: bool = False
 ) -> LadderResult:
-    """Fit the whole model ladder on one shared complete-case row set.
+    """Fit the whole model ladder on one shared complete-case row set of
+    `table`, which holds the outcome and every ladder column.
 
     Rows with a non-finite value in the outcome or in any column used by
     any ladder model are dropped once, up front.
     """
     needed = (LADDER_OUTCOME, *LADDER_COLUMNS)
-    arrays = {}
-    for c in needed:
-        if c not in table:
-            raise EmptyInput(f"missing column {c}")
-        arrays[c] = np.asarray(table[c], dtype=float)
+    arrays = {c: np.asarray(table[c], dtype=float) for c in needed}
     n_total = arrays[LADDER_OUTCOME].size
     mask = np.ones(n_total, dtype=bool)
     for c in needed:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +28,10 @@ from .topics import Strategy
 
 @dataclass
 class SynthConfig:
-    n_pairs: int = 8
+    n_pairs: int = dc_field(default=8, metadata={"min": 1})
     seed: int = 0
-    p_in: float = 0.9
-    p_out: float = 0.02
+    p_in: float = dc_field(default=0.9, metadata={"min": 0.0, "max": 1.0})
+    p_out: float = dc_field(default=0.02, metadata={"min": 0.0, "max": 1.0})
     fields: tuple[str, ...] = ("fieldA", "fieldB")
 
 

@@ -1,4 +1,4 @@
-"""Topic typing, mentee strategy classification, and elite flags.
+"""Topic typing and mentee strategy classification.
 
 Mentor topics split into primary and secondary by whether the mentor's
 share of papers in the topic exceeds the median share across their topics.
@@ -14,13 +14,11 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import Iterable
 
 from .community import TopicAssignment
 from .corpus import CitationIndex, five_year_citations
-from .errors import EmptyCohort, MenteeNoTopics, NoRetainedTopics
+from .errors import MenteeNoTopics, NoRetainedTopics
 from .pairgraph import MENTEE_SIDE, MENTOR_SIDE, PairGraph
 
 
@@ -150,39 +148,3 @@ def author_citation_total(author_id: str, index: CitationIndex, window: int = 5)
     """Sum of windowed citation counts over all of one author's papers."""
     return sum(five_year_citations(p, index, window) for p in index.author_papers[author_id])
 
-
-def elite_threshold(values: Iterable[float], top_fraction: float = 0.2) -> float:
-    """Smallest observed value whose rank puts it in the top fraction."""
-    arr = np.asarray(sorted(values), dtype=float)
-    if arr.size == 0:
-        raise EmptyCohort("no values to rank")
-    return float(np.quantile(arr, 1.0 - top_fraction, method="higher"))
-
-
-def flag_elites(
-    totals: Mapping[str, float],
-    fields: Mapping[str, str] | None = None,
-    top_fraction: float = 0.2,
-) -> dict[str, bool]:
-    """Elite flag per author: total >= the top-fraction threshold.
-
-    Thresholds are computed within field groups when a field map is given,
-    otherwise over the whole cohort.
-    """
-    if not totals:
-        raise EmptyCohort("no authors to flag")
-    groups: dict[str, list[str]] = {}
-    for author in totals:
-        key = fields[author] if fields is not None else ""
-        groups.setdefault(key, []).append(author)
-    flags: dict[str, bool] = {}
-    for members in groups.values():
-        cut = elite_threshold([totals[a] for a in members], top_fraction)
-        for a in members:
-            flags[a] = totals[a] >= cut
-    return flags
-
-
-def is_outperforming(elite: bool, mentee_total: float, mentor_total: float) -> bool:
-    """Elite mentees whose allocated impact strictly exceeds their mentor's."""
-    return elite and mentee_total > mentor_total

@@ -457,3 +457,24 @@ class TestSynthCommand:
         write_corpus(synthesize_corpus(config), tmp_path / "api")
         for name in ("papers.jsonl", "mentorships.jsonl", "ground_truth.json"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--pairs", "0"],
+            ["--p-in", "1.5"],
+            ["--p-out", "-0.1"],
+            ["--p-in", "nan"],
+            ["--fields", ","],
+            ["--fields", "a,,b"],
+        ],
+    )
+    def test_bad_values_exit_2_and_write_nothing(self, tmp_path, flags):
+        # A bound is checked after parsing (return 2), an empty field name
+        # while parsing (argparse exits 2).
+        try:
+            code = main(["synth", "--out", str(tmp_path / "out"), *flags])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert not (tmp_path / "out").exists()

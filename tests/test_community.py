@@ -16,7 +16,6 @@ from cocite.community import (
     louvain,
     modularity,
 )
-from cocite.errors import PartitionMismatch
 from cocite.pairgraph import Authorship
 
 from helpers import (
@@ -73,13 +72,6 @@ class TestModularity:
     def test_empty_graph_scores_zero(self):
         assert modularity({"a": {}, "b": {}}, {"a": 0, "b": 1}) == 0.0
         assert modularity({}, {}) == 0.0
-
-    def test_partition_mismatch(self):
-        adj = weighted([("a", "b", 1.0)])
-        with pytest.raises(PartitionMismatch):
-            modularity(adj, {"a": 0})
-        with pytest.raises(PartitionMismatch):
-            modularity(adj, {"a": 0, "b": 0, "c": 0})
 
     def test_gamma_scaling(self):
         adj = weighted([("a", "b", 1.0), ("c", "d", 1.0)])

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,6 +39,17 @@ def corpus_dir(tmp_path_factory):
 def read_dicts(path):
     with path.open(newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def mentee(mentee_id, field, citation_total, impact=(0.0, 0.0)):
+    """The profile fields assign_elites reads; impact is (mentee, mentor)."""
+    return SimpleNamespace(
+        mentee_id=mentee_id,
+        field=field,
+        mentee_citation_total=citation_total,
+        mentee_total_impact=impact[0],
+        mentor_total_impact=impact[1],
+    )
 
 
 def make_config(corpus_dir, out_dir, **kwargs) -> PipelineConfig:
@@ -211,6 +223,62 @@ class TestElites:
     def test_empty_cohort_is_a_no_op(self):
         assign_elites([], PipelineConfig())
 
+    def test_cut_is_rank_based(self):
+        cohort = [mentee(f"m{i}", "A", i) for i in range(1, 11)]
+        assign_elites(cohort, PipelineConfig(top_fraction=0.2))
+        assert [p.mentee_id for p in cohort if p.is_elite] == ["m9", "m10"]
+        cohort = [mentee(f"m{i}", "A", i) for i in range(1, 5)]
+        assign_elites(cohort, PipelineConfig(top_fraction=0.5))
+        assert [p.mentee_id for p in cohort if p.is_elite] == ["m3", "m4"]
+
+    @pytest.mark.parametrize(
+        "elite_global, elites",
+        [(False, ["a2", "b2"]), (True, ["b1", "b2"])],
+        ids=["per_field", "global"],
+    )
+    def test_field_cuts_or_one_global_cut(self, elite_global, elites):
+        # Per field, a2 is elite although b1 dwarfs it; one cut over the
+        # whole cohort (at 100) leaves field A with no elite.
+        cohort = [
+            mentee("a1", "A", 1),
+            mentee("a2", "A", 2),
+            mentee("b1", "B", 100),
+            mentee("b2", "B", 200),
+        ]
+        assign_elites(cohort, PipelineConfig(top_fraction=0.5, elite_global=elite_global))
+        assert [p.mentee_id for p in cohort if p.is_elite] == elites
+
+    def test_mentee_counts_once_in_the_field_of_their_last_profile(self):
+        # m1 has two mentors. Counted once, in field B, it makes B's cut
+        # 5 and leaves A with only a1, who is then elite.
+        cohort = [
+            mentee("a1", "A", 1),
+            mentee("m1", "A", 5),
+            mentee("b1", "B", 3),
+            mentee("m1", "B", 5),
+        ]
+        assign_elites(cohort, PipelineConfig(top_fraction=0.5))
+        assert [p.is_elite for p in cohort] == [True, True, False, True]
+
+    def test_outperforming_needs_elite_and_strict_excess(self):
+        cohort = [
+            mentee("m1", "A", 10, impact=(5.1, 5.0)),
+            mentee("m2", "A", 10, impact=(5.0, 5.0)),
+            mentee("m3", "A", 1, impact=(9.0, 1.0)),
+        ]
+        assign_elites(cohort, PipelineConfig(top_fraction=0.5))
+        assert [(p.is_elite, p.outperforming) for p in cohort] == [
+            (True, True),
+            (True, False),
+            (False, False),
+        ]
+
+    def test_flags_are_python_bools(self):
+        # profiles.csv writes a bool as true/false and an np.bool_ as True.
+        cohort = [mentee("m1", "A", 1, impact=(2.0, 1.0)), mentee("m2", "A", 2, impact=(2.0, 1.0))]
+        assign_elites(cohort, PipelineConfig(top_fraction=0.5))
+        assert all(type(p.is_elite) is bool and type(p.outperforming) is bool for p in cohort)
+
 
 class TestTables:
     def test_profile_table_column_names(self, corpus_dir, tmp_path):
@@ -380,7 +448,9 @@ class TestRunPipeline:
         again = run_pipeline(make_config(corpus_dir, out, gamma=2.0))
         assert (again.cache_hits, again.cache_misses) == (result.n_profiles, 0)
 
-    @pytest.mark.parametrize("key, value", [("n_bins", 0), ("top_fraction", 1.5), ("gamma", -1.0)])
+    @pytest.mark.parametrize(
+        "key, value", [("n_bins", 0), ("top_fraction", 1.5), ("gamma", -1.0), ("workers", 0)]
+    )
     def test_config_built_in_code_is_checked(self, corpus_dir, tmp_path, key, value):
         out = tmp_path / "run"
         with pytest.raises(InvalidConfig, match=repr(key)):
@@ -471,6 +541,23 @@ class TestRunPipeline:
         monkeypatch.setattr(cocite.pipeline, "ingest_corpus", parent_only)
         result = run_pipeline(make_config(corpus_dir, tmp_path / "pool", workers=2))
         assert result.cache_misses == result.n_profiles > 0
+
+    def test_pool_never_starts_more_workers_than_pending_pairs(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        sizes = []
+
+        class RecordingPool(cocite.pipeline.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(cocite.pipeline, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_pipeline(make_config(corpus_dir, tmp_path / "pool", workers=8))
+        serial = run_pipeline(make_config(corpus_dir, tmp_path / "serial"))
+        assert 1 < pooled.cache_misses < 8
+        assert sizes == [pooled.cache_misses]
+        assert pooled.manifest_path.read_bytes() == serial.manifest_path.read_bytes()
 
     @pytest.mark.parametrize("min_community_size", [10, 10_000])
     def test_pool_run_matches_serial(self, corpus_dir, tmp_path, min_community_size):

@@ -17,7 +17,6 @@ from cocite.errors import (
     InsufficientData,
     RankDeficient,
     TooFewRows,
-    ZeroImpact,
 )
 from cocite.stats import (
     MODEL_LADDER,
@@ -102,10 +101,6 @@ class TestTernary:
         )
         assert shares == (0.0, 0.0, 1.0)
 
-    def test_zero_impact_raises(self):
-        with pytest.raises(ZeroImpact):
-            ternary_shares({})
-
 
 class TestBins:
     def test_equal_counts(self):
@@ -123,10 +118,6 @@ class TestBins:
     def test_too_few_points_raises(self):
         with pytest.raises(InsufficientData):
             equal_count_bins([1.0, 2.0], [1.0, 2.0], n_bins=3)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(EmptyInput):
-            equal_count_bins([1.0, 2.0, 3.0], [1.0], n_bins=1)
 
 
 class TestOls:
@@ -168,10 +159,6 @@ class TestOls:
     def test_constant_outcome_raises(self):
         with pytest.raises(DegenerateX):
             fit_ols({"x": [1.0, 2.0, 3.0]}, [5.0, 5.0, 5.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(EmptyInput):
-            fit_ols({"x": [1.0, 2.0]}, [1.0, 2.0, 3.0])
 
 
 class TestLazyScipy:
@@ -255,12 +242,6 @@ class TestLadder:
         assert ladder.n_rows == 193
         # Every model, even ones not using the NaN column, fits 193 rows.
         assert all(res.n == 193 for _, res in ladder.models)
-
-    def test_missing_column_raises(self):
-        table, _ = planted_regression_cohort(seed=5, n=100)
-        del table["topic_num_mto"]
-        with pytest.raises(EmptyInput):
-            fit_model_ladder(table)
 
     def test_log_outcome_option(self):
         table, _ = planted_regression_cohort(seed=5, n=300)

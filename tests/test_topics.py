@@ -1,9 +1,9 @@
-"""Topic typing, strategy classification, and elite flags."""
+"""Topic typing and strategy classification."""
 
 import pytest
 
 from cocite.community import TopicAssignment
-from cocite.errors import EmptyCohort, MenteeNoTopics, NoRetainedTopics
+from cocite.errors import MenteeNoTopics, NoRetainedTopics
 from cocite.pairgraph import Authorship
 from cocite.topics import (
     Strategy,
@@ -11,9 +11,6 @@ from cocite.topics import (
     author_citation_total,
     classify_strategy,
     classify_topics,
-    elite_threshold,
-    flag_elites,
-    is_outperforming,
 )
 
 from helpers import graph_from_edges, make_index, paper
@@ -151,39 +148,6 @@ class TestStrategy:
         graph, assignment = typing_fixture({0: [R, R], 1: [R]})
         with pytest.raises(MenteeNoTopics):
             classify_strategy(classify_topics(graph, assignment))
-
-
-class TestElite:
-    def test_threshold_is_rank_based(self):
-        assert elite_threshold(range(1, 11), top_fraction=0.2) == 9.0
-
-    def test_threshold_half(self):
-        assert elite_threshold([1.0, 2.0, 3.0, 4.0], top_fraction=0.5) == 3.0
-
-    def test_threshold_empty_raises(self):
-        with pytest.raises(EmptyCohort):
-            elite_threshold([])
-
-    def test_global_flags(self):
-        totals = {f"a{i}": float(i) for i in range(1, 11)}
-        flags = flag_elites(totals)
-        assert {a for a, f in flags.items() if f} == {"a9", "a10"}
-
-    def test_per_field_flags(self):
-        totals = {"a1": 1.0, "a2": 2.0, "b1": 100.0, "b2": 200.0}
-        fields = {"a1": "A", "a2": "A", "b1": "B", "b2": "B"}
-        flags = flag_elites(totals, fields, top_fraction=0.5)
-        # Thresholds are within-field, so a2 is elite despite b1 dwarfing it.
-        assert flags == {"a1": False, "a2": True, "b1": False, "b2": True}
-
-    def test_empty_cohort_raises(self):
-        with pytest.raises(EmptyCohort):
-            flag_elites({})
-
-    def test_outperforming_requires_strict_excess(self):
-        assert is_outperforming(True, 5.1, 5.0)
-        assert not is_outperforming(True, 5.0, 5.0)
-        assert not is_outperforming(False, 9.0, 1.0)
 
 
 class TestCitationTotals:
