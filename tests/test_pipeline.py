@@ -227,6 +227,8 @@ class TestElites:
         cohort = [mentee(f"m{i}", "A", i) for i in range(1, 11)]
         assign_elites(cohort, PipelineConfig(top_fraction=0.2))
         assert [p.mentee_id for p in cohort if p.is_elite] == ["m9", "m10"]
+
+    def test_cut_top_half(self):
         cohort = [mentee(f"m{i}", "A", i) for i in range(1, 5)]
         assign_elites(cohort, PipelineConfig(top_fraction=0.5))
         assert [p.mentee_id for p in cohort if p.is_elite] == ["m3", "m4"]
