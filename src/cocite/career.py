@@ -65,24 +65,23 @@ def typed_contributions(
     typing: TopicTyping,
     index: CitationIndex,
     role: str,
+    first_year: int,
 ) -> list[tuple[int, float, TopicType]]:
     """(career_year, share, topic_type) rows for one role of one pair.
 
     role is "mentee" or "mentor". Topic types come from the mentee view for
     the mentee and from the mentor-side primary/secondary split for the
-    mentor. Career year is relative to the role's first publication.
+    mentor. Career year is relative to `first_year`, the role's first
+    publication year.
     """
     if role == "mentee":
-        author = allocation.mentee_id
         side = MENTEE_SIDE
         type_of: Mapping[int, TopicType] = typing.type_of
     elif role == "mentor":
-        author = allocation.mentor_id
         side = MENTOR_SIDE
         type_of = typing.mentor_side
     else:
         raise ValueError(f"unknown role {role!r}")
-    first_year = min(index.pub_year[p] for p in index.author_papers[author])
     out: list[tuple[int, float, TopicType]] = []
     for topic in allocation.topics.values():
         kind = type_of.get(topic.topic_id)
@@ -91,7 +90,7 @@ def typed_contributions(
         for row in topic.rows:
             if row.authorship not in side:
                 continue
-            year = index.pub_year[row.paper_id] - first_year
+            year = int(index.pub_year[row.paper]) - first_year
             out.append((year, row.contribution, kind))
     return out
 

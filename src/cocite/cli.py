@@ -20,7 +20,7 @@ from . import __version__
 from .corpus import IngestConfig, MentorshipRecord, ingest_corpus
 from .distance import DistanceResult
 from .errors import CociteError
-from .pairgraph import PairGraph
+from .pairgraph import PairGraph, edge_sources
 from .pipeline import (
     CAREER_COLUMNS,
     SETTING_TYPES,
@@ -165,6 +165,7 @@ def _cmd_pair(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     graph: PairGraph | None = None
+    paper_id = index.paper_ids.__getitem__
 
     def write_stage(stage: str, result: Any) -> None:
         """Write one stage's files and print its summary lines."""
@@ -174,14 +175,15 @@ def _cmd_pair(args: argparse.Namespace) -> int:
             write_csv(
                 out / "nodes.csv",
                 ["paper_id", "authorship"],
-                [(n, graph.labels[n].value) for n in graph.nodes],
+                [(paper_id(n), graph.labels[n].value) for n in graph.nodes],
             )
+            sources = edge_sources(graph, index, config.exclude_self_cocitation)
             write_csv(
                 out / "edges.csv",
                 ["u", "v", "n_sources", "sources"],
                 [
-                    (u, v, len(srcs), ";".join(srcs))
-                    for (u, v), srcs in sorted(graph.cociting_sources.items())
+                    (paper_id(u), paper_id(v), len(srcs), ";".join(map(paper_id, srcs)))
+                    for (u, v), srcs in sources.items()
                 ],
             )
             print(f"nodes: {graph.n_nodes}  edges: {graph.n_edges}")
@@ -189,7 +191,7 @@ def _cmd_pair(args: argparse.Namespace) -> int:
             write_csv(
                 out / "topics.csv",
                 ["paper_id", "topic_id", "authorship"],
-                [(n, result.topic_of[n], graph.labels[n].value) for n in graph.nodes],
+                [(paper_id(n), result.topic_of[n], graph.labels[n].value) for n in graph.nodes],
             )
             print(f"topics: {result.n_topics}  unassigned: {result.n_unassigned}")
             print(f"modularity_q: {result.modularity_q!r}")
@@ -215,7 +217,7 @@ def _cmd_pair(args: argparse.Namespace) -> int:
                 out / "impact.csv",
                 ["topic_id", "paper_id", "authorship", "w", "s", "contribution"],
                 [
-                    (t.topic_id, r.paper_id, r.authorship.value, r.w, r.author_count, r.contribution)
+                    (t.topic_id, paper_id(r.paper), r.authorship.value, r.w, r.author_count, r.contribution)
                     for t in topics
                     for r in t.rows
                 ],

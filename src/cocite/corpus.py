@@ -13,10 +13,14 @@ is then checked against that index.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DuplicatePaperId, EmptyCorpus, MalformedRecord
 
@@ -64,44 +68,160 @@ class IngestConfig:
     field: str | None = None
 
 
-class CitationIndex:
-    """Read-only citation maps over one corpus.
+class Rows:
+    """The rows of a compressed sparse layout: row i is
+    ``indices[indptr[i]:indptr[i + 1]]``."""
 
-    cited_by_map lists, for every corpus paper, the corpus papers citing it,
-    sorted; references to ids that are not corpus records are dropped.
-    author_papers lists each author's papers by (pub_year, paper_id), and
-    paper_authors each paper's authors with repeats removed. Construction is
-    single-writer and consumes the records in one pass; afterwards the index
-    is treated as read-only and may be shared freely across parallel workers.
+    __slots__ = ("indptr", "indices")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.indptr = indptr
+        self.indices = indices
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    def lengths(self, rows: np.ndarray) -> np.ndarray:
+        return self.indptr[rows + 1] - self.indptr[rows]
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The given rows, concatenated in the given order."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        # Output position k of row r reads indices[starts[r] + k - offsets[r]].
+        offsets = np.cumsum(lengths) - lengths
+        return self.indices[np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())]
+
+
+def _compress(row_of: np.ndarray, values: np.ndarray, n_rows: int) -> Rows:
+    """Rows holding each value under its row, rows in order; `row_of` must
+    already be sorted."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=n_rows), out=indptr[1:])
+    return Rows(indptr, values.astype(np.int32))
+
+
+class CitationIndex:
+    """Read-only citation arrays over one corpus.
+
+    Papers and authors are numbered in the sorted order of their ids, so
+    sorting numbers sorts ids: `paper_ids[i]` is the id of paper i and
+    `author_ids[a]` that of author a. `cited_by[p]` lists the papers citing
+    paper p, sorted (the columns of the citer x paper matrix); references to
+    ids that are not corpus records are dropped. `author_papers[a]` lists
+    author a's papers by (pub_year, id), and `paper_authors[p]` paper p's
+    authors with repeats removed, in their first-seen order. `pub_year` is
+    indexed by paper number.
+
+    The ids are numbered in one pass over the records, as they stream in,
+    and renumbered into sorted order once the stream ends. Afterwards the
+    index is read-only and may be shared freely across forked workers.
     """
 
-    __slots__ = ("cited_by_map", "author_papers", "paper_authors", "pub_year")
+    __slots__ = (
+        "paper_ids", "author_ids", "pub_year", "cited_by", "author_papers", "paper_authors", "_windowed"
+    )
 
     def __init__(self, records: Iterable[PaperRecord]):
-        pub_year: dict[str, int] = {}
-        authors: dict[str, tuple[str, ...]] = {}
-        by_author: dict[str, list[str]] = defaultdict(list)
-        cited_by: dict[str, list[str]] = defaultdict(list)
+        paper_no: dict[str, int] = {}  # every id seen, as a record or a reference
+        author_no: dict[str, int] = {}
+        record_no = array("i")  # the number each record's id was seen under
+        years = array("h")
+        n_refs = array("i")
+        refs = array("i")
+        n_authors = array("i")
+        authors = array("i")
         for rec in records:
-            uniq_authors = tuple(dict.fromkeys(rec.author_ids))
-            pub_year[rec.paper_id] = rec.pub_year
-            authors[rec.paper_id] = uniq_authors
-            for a in uniq_authors:
-                by_author[a].append(rec.paper_id)
-            for ref in rec.reference_ids:
-                cited_by[ref].append(rec.paper_id)
+            record_no.append(paper_no.setdefault(rec.paper_id, len(paper_no)))
+            years.append(rec.pub_year)
+            n_refs.append(len(rec.reference_ids))
+            refs.extend([paper_no.setdefault(r, len(paper_no)) for r in rec.reference_ids])
+            uniq = dict.fromkeys(rec.author_ids)
+            n_authors.append(len(uniq))
+            authors.extend([author_no.setdefault(a, len(author_no)) for a in uniq])
 
-        self.cited_by_map = {pid: tuple(sorted(cited_by.get(pid, ()))) for pid in pub_year}
-        self.author_papers = {
-            a: tuple(sorted(ps, key=lambda p: (pub_year[p], p)))
-            for a, ps in by_author.items()
-        }
-        self.paper_authors = authors
-        self.pub_year = pub_year
+        # Renumber the records and authors into sorted id order; a seen id
+        # without a record gets -1. The dicts go before the arrays are built.
+        seen_ids = list(paper_no)
+        record_ids = [seen_ids[k] for k in record_no]
+        seen_rank = np.full(len(seen_ids), -1, dtype=np.int32)
+        del paper_no, seen_ids
+        record_order = sorted(range(len(record_ids)), key=record_ids.__getitem__)
+        self.paper_ids = [record_ids[r] for r in record_order]
+        del record_ids
+        n = len(record_order)
+        order = np.array(record_order, dtype=np.int64)
+        rank = np.empty(n, dtype=np.int32)
+        rank[order] = np.arange(n)
+        seen_rank[np.frombuffer(record_no, dtype=np.int32)] = rank
+
+        seen_authors = list(author_no)
+        del author_no
+        author_order = sorted(range(len(seen_authors)), key=seen_authors.__getitem__)
+        self.author_ids = [seen_authors[a] for a in author_order]
+        del seen_authors
+        author_rank = np.empty(len(author_order), dtype=np.int32)
+        author_rank[author_order] = np.arange(len(author_order))
+
+        self.pub_year = np.frombuffer(years, dtype=np.int16)[order]
+
+        # cited_by: one entry per reference to a record, grouped by the cited paper.
+        citer = np.repeat(rank, np.frombuffer(n_refs, dtype=np.int32))
+        cited = seen_rank[np.frombuffer(refs, dtype=np.int32)]
+        kept = cited >= 0
+        citer, cited = citer[kept], cited[kept]
+        by_cited = np.lexsort((citer, cited))
+        self.cited_by = _compress(cited[by_cited], citer[by_cited], n)
+
+        # paper_authors: each record's authors, moved to the row of its paper.
+        counts = np.frombuffer(n_authors, dtype=np.int32)
+        by_record = Rows(
+            np.concatenate(([0], np.cumsum(counts))), author_rank[np.frombuffer(authors, dtype=np.int32)]
+        )
+        paper_of = np.repeat(np.arange(n, dtype=np.int32), counts[order])
+        self.paper_authors = _compress(paper_of, by_record.take(order), n)
+
+        # author_papers: the same (paper, author) pairs by author, then (year, id).
+        author = self.paper_authors.indices
+        by_author = np.lexsort((paper_of, self.pub_year[paper_of], author))
+        self.author_papers = _compress(author[by_author], paper_of[by_author], len(self.author_ids))
+        self._windowed: dict[int, np.ndarray] = {}
 
     @property
     def n_papers(self) -> int:
-        return len(self.pub_year)
+        return len(self.paper_ids)
+
+    def paper(self, paper_id: str) -> int | None:
+        """The number of the paper with this id, or None if it has no record."""
+        return _find(self.paper_ids, paper_id)
+
+    def author(self, author_id: str) -> int | None:
+        """The number of the author with this id, or None if they have no paper."""
+        return _find(self.author_ids, author_id)
+
+    def paper_count(self, author_id: str) -> int:
+        """How many papers the author with this id wrote."""
+        a = self.author(author_id)
+        return 0 if a is None else len(self.author_papers[a])
+
+    def windowed_citations(self, window: int) -> np.ndarray:
+        """Citations each paper received within ``window`` years of its
+        publication, inclusive, computed once per window.
+
+        Citing papers whose year precedes the cited paper's year are treated
+        as data noise and excluded from the count (they stay in the graph).
+        """
+        if window not in self._windowed:
+            cited = np.repeat(np.arange(self.n_papers), np.diff(self.cited_by.indptr))
+            offset = self.pub_year[self.cited_by.indices] - self.pub_year[cited]
+            inside = cited[(offset >= 0) & (offset <= window)]
+            self._windowed[window] = np.bincount(inside, minlength=self.n_papers)
+        return self._windowed[window]
+
+
+def _find(ids: list[str], key: str) -> int | None:
+    i = bisect_left(ids, key)
+    return i if i < len(ids) and ids[i] == key else None
 
 
 @dataclass
@@ -242,8 +362,8 @@ def ingest_corpus(
             report["mentorships", "duplicate_pair"] += 1
             continue
         seen_pairs.add(key)
-        mentor_n = len(index.author_papers.get(rec.mentor_id, ()))
-        mentee_n = len(index.author_papers.get(rec.mentee_id, ()))
+        mentor_n = index.paper_count(rec.mentor_id)
+        mentee_n = index.paper_count(rec.mentee_id)
         dropped = False
         if mentor_n < cfg.min_papers:
             report["mentorships", "mentor_below_min_papers"] += 1
@@ -262,29 +382,14 @@ def ingest_corpus(
     return IngestResult(index, mentorships, report)
 
 
-def cohort_flags(author_id: str, index: CitationIndex) -> CohortFlags:
+def cohort_flags(author: int, index: CitationIndex) -> CohortFlags:
     """Career flags for one author; pure function of the immutable index."""
-    years = [index.pub_year[p] for p in index.author_papers[author_id]]
-    first = min(years)
-    career_len = max(years) - first
+    years = index.pub_year[index.author_papers[author]]
+    first = int(years.min())
+    career_len = int(years.max()) - first
     return CohortFlags(
         first_pub_year=first,
         career_len=career_len,
         pre_1990_starter=first < 1990,
         career_30y=career_len >= 30,
     )
-
-
-def five_year_citations(paper_id: str, index: CitationIndex, window: int = 5) -> int:
-    """Citations received within ``window`` years of publication (inclusive).
-
-    Citing papers whose year precedes the cited paper's year are treated as
-    data noise and excluded from the windowed count (they stay in the graph).
-    """
-    pub_year = index.pub_year[paper_id]
-    n = 0
-    for citer in index.cited_by_map[paper_id]:
-        offset = index.pub_year[citer] - pub_year
-        if 0 <= offset <= window:
-            n += 1
-    return n

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .community import TopicAssignment
 from .corpus import CitationIndex
 from .pairgraph import MENTEE_SIDE, MENTOR_SIDE, Authorship, PairGraph
@@ -20,9 +22,10 @@ from .pairgraph import MENTEE_SIDE, MENTOR_SIDE, Authorship, PairGraph
 
 @dataclass(frozen=True)
 class PaperImpact:
-    """Allocation row for one member paper of one topic."""
+    """Allocation row for one member paper (its number in the index) of one
+    topic."""
 
-    paper_id: str
+    paper: int
     topic_id: int
     authorship: Authorship
     w: int
@@ -35,10 +38,11 @@ class PaperImpact:
 
 @dataclass(frozen=True)
 class TopicImpact:
-    """Per-topic allocation: pool, per-paper rows, and side totals."""
+    """Per-topic allocation: pool (sorted paper numbers), per-paper rows, and
+    side totals."""
 
     topic_id: int
-    pool: tuple[str, ...]
+    pool: np.ndarray
     rows: tuple[PaperImpact, ...]
     c_mentee: float
     c_mentor: float
@@ -64,13 +68,19 @@ class ImpactAllocation:
     mentor_total: float
 
 
-def cociting_pool(members: tuple[str, ...], index: CitationIndex) -> tuple[str, ...]:
-    """Corpus papers citing at least two distinct members, sorted."""
-    hits: dict[str, int] = {}
-    for m in members:
-        for citer in index.cited_by_map[m]:
-            hits[citer] = hits.get(citer, 0) + 1
-    return tuple(sorted(c for c, n in hits.items() if n >= 2))
+def cociting_pool(members: np.ndarray, index: CitationIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The corpus papers citing at least two distinct members, sorted, and
+    w(p) for each member p: how many of them cite p.
+
+    Both come from the members' columns of the citer x paper matrix: the
+    pool is its rows with two or more entries, and w(p) counts column p's
+    entries in those rows.
+    """
+    citers = index.cited_by.take(members)
+    member_of = np.repeat(np.arange(members.size), index.cited_by.lengths(members))
+    uniq, citer_of, per_citer = np.unique(citers, return_inverse=True, return_counts=True)
+    w = np.bincount(member_of[per_citer[citer_of] >= 2], minlength=members.size)
+    return uniq[per_citer >= 2], w
 
 
 def allocate_impact(
@@ -83,21 +93,20 @@ def allocate_impact(
     mentee_shares: list[float] = []
     mentor_shares: list[float] = []
     for topic_id in sorted(assignment.topics):
-        members = assignment.topics[topic_id]
-        pool = cociting_pool(members, index)
-        pool_set = set(pool)
-        rows = []
-        for paper in members:
-            w = sum(1 for c in index.cited_by_map[paper] if c in pool_set)
-            rows.append(
-                PaperImpact(
-                    paper_id=paper,
-                    topic_id=topic_id,
-                    authorship=graph.labels[paper],
-                    w=w,
-                    author_count=len(index.paper_authors[paper]),
-                )
+        members = np.array(assignment.topics[topic_id], dtype=np.int64)
+        pool, w = cociting_pool(members, index)
+        rows = [
+            PaperImpact(
+                paper=paper,
+                topic_id=topic_id,
+                authorship=graph.labels[paper],
+                w=w_p,
+                author_count=s_p,
             )
+            for paper, w_p, s_p in zip(
+                members.tolist(), w.tolist(), index.paper_authors.lengths(members).tolist()
+            )
+        ]
         c_mentee = math.fsum(r.contribution for r in rows if r.authorship in MENTEE_SIDE)
         c_mentor = math.fsum(r.contribution for r in rows if r.authorship in MENTOR_SIDE)
         mentee_shares.extend(r.contribution for r in rows if r.authorship in MENTEE_SIDE)

@@ -4,7 +4,7 @@ statistics, and a deterministic report bundle.
 Every output file is byte-stable for a given corpus and configuration:
 rows are fully sorted, floats are written with repr, and nothing volatile
 (timestamps, absolute paths, cache statistics) lands in hashed outputs.
-Cache statistics and distance-substitution counts go to run_stats.json,
+Cache statistics, distance-substitution counts and peak RSS go to run_stats.json,
 which the manifest does not cover.
 """
 
@@ -16,6 +16,7 @@ import json
 import math
 import multiprocessing
 import os
+import resource
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field as dc_field, fields as dc_fields
@@ -342,11 +343,20 @@ def build_profiles(
     cache = PairCache(cache_dir, corpus_hash, config)
 
     results: dict[MentorshipRecord, PairProfile | Failure | None] = {m: cache.load(m) for m in ordered}
-    pending = [m for m, profile in results.items() if profile is None]
+    # Largest pairs first, so that the slowest does not start last.
+    pending = sorted(
+        (m for m, profile in results.items() if profile is None),
+        key=lambda m: index.paper_count(m.mentor_id) + index.paper_count(m.mentee_id),
+        reverse=True,
+    )
 
     args = (index, config.pair_params())
     pool = None
     if pending and config.workers > 1:
+        # The workers inherit the kernels' SciPy modules instead of each
+        # importing them for its first pair.
+        import scipy.sparse.csgraph  # noqa: F401
+
         # A forked pool starts all its workers at the first submit.
         pool = ProcessPoolExecutor(
             max_workers=min(config.workers, len(pending)),
@@ -649,6 +659,10 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         "distance_substituted": sum(p.distance_substituted for p in stage.profiles),
         "empty_outputs": empty_outputs,
         "workers": config.workers,
+        "peak_rss_mb": {
+            "self": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "children": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+        },
     }
     (out_dir / "run_stats.json").write_text(
         json.dumps(run_stats, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -14,6 +14,8 @@ from enum import Enum
 from operator import itemgetter
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .career import (
     CareerSeries,
     build_career_series,
@@ -24,7 +26,7 @@ from .community import DetectionConfig, detect_topics
 from .corpus import CitationIndex, MentorshipRecord, cohort_flags
 from .distance import average_distance
 from .impact import allocate_impact
-from .pairgraph import Authorship, build_pair_graph
+from .pairgraph import Authorship, build_pair_graph, pair_authors
 from .topics import (
     Strategy,
     TopicType,
@@ -172,12 +174,9 @@ def _decode(tp: Any, value: Any) -> Any:
     return value
 
 
-def _collaborators(author_id: str, index: CitationIndex) -> set[str]:
-    out: set[str] = set()
-    for p in index.author_papers[author_id]:
-        out.update(index.paper_authors[p])
-    out.discard(author_id)
-    return out
+def _coauthors(author: int, index: CitationIndex) -> np.ndarray:
+    """Everyone who wrote a paper with the author, the author included."""
+    return np.unique(index.paper_authors.take(index.author_papers[author]))
 
 
 def _no_hook(stage: str, result: Any) -> None:
@@ -204,10 +203,10 @@ def build_pair_profile(
     The career stage's result is the profile returned.
     """
     p = params or PairParams()
-    mentor_id, mentee_id = mentorship.mentor_id, mentorship.mentee_id
+    mentor, mentee = pair_authors(mentorship.mentor_id, mentorship.mentee_id, index)
 
     graph = build_pair_graph(
-        mentor_id, mentee_id, index, exclude_self_cocitation=p.exclude_self_cocitation
+        mentor, mentee, index, exclude_self_cocitation=p.exclude_self_cocitation
     )
     on_stage("pairs", graph)
     assignment = detect_topics(graph, p)
@@ -221,8 +220,11 @@ def build_pair_profile(
     dist = average_distance(graph, include_joint_self_pairs=p.include_joint_self_pairs)
     on_stage("distance", dist)
 
-    mentee_rows = typed_contributions(allocation, typing, index, "mentee")
-    mentor_rows = typed_contributions(allocation, typing, index, "mentor")
+    flags_mte = cohort_flags(mentee, index)
+    flags_mto = cohort_flags(mentor, index)
+    first_mte = flags_mte.first_pub_year
+    mentee_rows = typed_contributions(allocation, typing, index, "mentee", first_mte)
+    mentor_rows = typed_contributions(allocation, typing, index, "mentor", flags_mto.first_pub_year)
     mentee_by_type = {
         t: math.fsum(share for _, share, k in mentee_rows if k is t) for t in MENTEE_TYPES
     }
@@ -230,8 +232,6 @@ def build_pair_profile(
         t: math.fsum(share for _, share, k in mentor_rows if k is t) for t in MENTOR_TYPES
     }
 
-    flags_mte = cohort_flags(mentee_id, index)
-    flags_mto = cohort_flags(mentor_id, index)
     mentee_series = build_career_series(
         [(y, s) for y, s, _ in mentee_rows], flags_mte.career_len
     )
@@ -240,24 +240,18 @@ def build_pair_profile(
     )
 
     joint_papers = [n for n, lab in graph.labels.items() if lab is Authorship.JOINT]
-    first_mte = flags_mte.first_pub_year
-    joint_first = sum(
-        1 for j in joint_papers if index.pub_year[j] - first_mte <= 5
+    joint_first = int((index.pub_year[joint_papers] - first_mte <= 5).sum())
+    mte_first = int((index.pub_year[index.author_papers[mentee]] - first_mte <= 5).sum())
+    common = np.setdiff1d(
+        np.intersect1d(_coauthors(mentee, index), _coauthors(mentor, index)), [mentor, mentee]
     )
-    mte_first = sum(
-        1
-        for q in index.author_papers[mentee_id]
-        if index.pub_year[q] - first_mte <= 5
-    )
-    common = _collaborators(mentee_id, index) & _collaborators(mentor_id, index)
-    common -= {mentor_id, mentee_id}
 
-    mto_citations = author_citation_total(mentor_id, index, window=p.citation_window)
-    mte_citations = author_citation_total(mentee_id, index, window=p.citation_window)
+    mto_citations = author_citation_total(mentor, index, window=p.citation_window)
+    mte_citations = author_citation_total(mentee, index, window=p.citation_window)
 
     return PairProfile(
-        mentor_id=mentor_id,
-        mentee_id=mentee_id,
+        mentor_id=mentorship.mentor_id,
+        mentee_id=mentorship.mentee_id,
         field=mentorship.field,
         n_nodes=graph.n_nodes,
         n_edges=graph.n_edges,
@@ -288,7 +282,7 @@ def build_pair_profile(
         colla_work_count=len(joint_papers),
         colla_work_count_first_5y=joint_first,
         colla_work_count_later=len(joint_papers) - joint_first,
-        common_collaborators_count=len(common),
+        common_collaborators_count=common.size,
         mte_work_count_first_5y=mte_first,
         topic_num_mto=len(typing.mentor_side),
         mto_citation_impact=mto_citations,

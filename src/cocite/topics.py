@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable
 
 from .community import TopicAssignment
-from .corpus import CitationIndex, five_year_citations
+from .corpus import CitationIndex
 from .errors import MenteeNoTopics, NoRetainedTopics
 from .pairgraph import MENTEE_SIDE, MENTOR_SIDE, PairGraph
 
@@ -144,7 +144,7 @@ def classify_strategy(typing: TopicTyping) -> StrategyRecord:
     )
 
 
-def author_citation_total(author_id: str, index: CitationIndex, window: int = 5) -> int:
+def author_citation_total(author: int, index: CitationIndex, window: int = 5) -> int:
     """Sum of windowed citation counts over all of one author's papers."""
-    return sum(five_year_citations(p, index, window) for p in index.author_papers[author_id])
+    return int(index.windowed_citations(window)[index.author_papers[author]].sum())
 

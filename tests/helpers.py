@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -19,7 +19,15 @@ import numpy as np
 
 from cocite.community import TopicAssignment
 from cocite.corpus import CitationIndex, PaperRecord
-from cocite.pairgraph import MENTEE_SIDE, MENTOR_SIDE, Authorship, PairGraph
+from cocite.pairgraph import (
+    MENTEE_SIDE,
+    MENTOR_SIDE,
+    Authorship,
+    PairGraph,
+    build_pair_graph,
+    edge_sources,
+    pair_authors,
+)
 
 
 def paper(pid, authors, year=2000, field="f", refs=()) -> PaperRecord:
@@ -30,6 +38,103 @@ def paper(pid, authors, year=2000, field="f", refs=()) -> PaperRecord:
 
 def make_index(*records: PaperRecord) -> CitationIndex:
     return CitationIndex(records)
+
+
+@dataclass(frozen=True)
+class DictIndex:
+    """The citation index as string-keyed maps (see `dict_index`)."""
+
+    cited_by_map: dict[str, tuple[str, ...]]
+    author_papers: dict[str, tuple[str, ...]]
+    paper_authors: dict[str, tuple[str, ...]]
+    pub_year: dict[str, int]
+
+
+def dict_index(records: Iterable[PaperRecord]) -> DictIndex:
+    """The index built as dicts of id tuples in one pass over the records,
+    as the package built it before it numbered papers and authors.
+
+    cited_by_map lists, for every record, the records citing it, sorted;
+    references to ids that are not records are dropped. author_papers lists
+    each author's papers by (pub_year, paper_id), and paper_authors each
+    paper's authors with repeats removed.
+    """
+    pub_year: dict[str, int] = {}
+    authors: dict[str, tuple[str, ...]] = {}
+    by_author: dict[str, list[str]] = defaultdict(list)
+    cited_by: dict[str, list[str]] = defaultdict(list)
+    for rec in records:
+        uniq_authors = tuple(dict.fromkeys(rec.author_ids))
+        pub_year[rec.paper_id] = rec.pub_year
+        authors[rec.paper_id] = uniq_authors
+        for a in uniq_authors:
+            by_author[a].append(rec.paper_id)
+        for ref in rec.reference_ids:
+            cited_by[ref].append(rec.paper_id)
+    return DictIndex(
+        cited_by_map={pid: tuple(sorted(cited_by.get(pid, ()))) for pid in pub_year},
+        author_papers={
+            a: tuple(sorted(ps, key=lambda p: (pub_year[p], p))) for a, ps in by_author.items()
+        },
+        paper_authors=authors,
+        pub_year=pub_year,
+    )
+
+
+def index_as_dicts(index: CitationIndex) -> DictIndex:
+    """The same maps read back from a CitationIndex through its id lookups,
+    with every paper and author number turned back into its id."""
+    pids, aids = index.paper_ids, index.author_ids
+    papers = [index.paper(pid) for pid in pids]
+    authors = [index.author(aid) for aid in aids]
+    return DictIndex(
+        cited_by_map={pids[p]: tuple(pids[c] for c in index.cited_by[p]) for p in papers},
+        author_papers={aids[a]: tuple(pids[p] for p in index.author_papers[a]) for a in authors},
+        paper_authors={pids[p]: tuple(aids[a] for a in index.paper_authors[p]) for p in papers},
+        pub_year={pids[p]: int(index.pub_year[p]) for p in papers},
+    )
+
+
+def pair_graph(
+    mentor_id: str, mentee_id: str, index: CitationIndex, exclude_self_cocitation: bool = False
+) -> PairGraph:
+    """`build_pair_graph` for the two authors with these ids."""
+    mentor, mentee = pair_authors(mentor_id, mentee_id, index)
+    return build_pair_graph(mentor, mentee, index, exclude_self_cocitation=exclude_self_cocitation)
+
+
+def named_graph(
+    graph: PairGraph, index: CitationIndex, exclude_self_cocitation: bool = False
+) -> PairGraph:
+    """A built pair graph with every paper number turned back into its id,
+    and with its edge sources filled in."""
+    pid = index.paper_ids.__getitem__
+    sources = edge_sources(graph, index, exclude_self_cocitation)
+    return PairGraph(
+        graph.mentor_id,
+        graph.mentee_id,
+        tuple(map(pid, graph.nodes)),
+        {pid(n): label for n, label in graph.labels.items()},
+        {pid(n): tuple(map(pid, nbrs)) for n, nbrs in graph.adjacency.items()},
+        {(pid(u), pid(v)): tuple(map(pid, cs)) for (u, v), cs in sources.items()},
+    )
+
+
+def named_pair_graph(
+    mentor_id: str, mentee_id: str, index: CitationIndex, exclude_self_cocitation: bool = False
+) -> PairGraph:
+    """`pair_graph` with paper ids for nodes (see `named_graph`)."""
+    graph = pair_graph(mentor_id, mentee_id, index, exclude_self_cocitation)
+    return named_graph(graph, index, exclude_self_cocitation)
+
+
+def numbered_assignment(assignment: TopicAssignment, index: CitationIndex) -> TopicAssignment:
+    """A topic assignment over paper ids, moved onto the index's paper numbers."""
+    return TopicAssignment(
+        topic_of={index.paper(p): t for p, t in assignment.topic_of.items()},
+        topics={t: tuple(map(index.paper, ms)) for t, ms in assignment.topics.items()},
+        modularity_q=assignment.modularity_q,
+    )
 
 
 def side_nodes(graph: PairGraph, side: tuple[Authorship, ...]) -> list[str]:

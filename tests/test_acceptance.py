@@ -20,7 +20,7 @@ from cocite.corpus import CitationIndex, ingest_corpus
 from cocite.distance import average_distance
 from cocite.errors import NoFinitePaths
 from cocite.impact import allocate_impact
-from cocite.pairgraph import Authorship, build_pair_graph
+from cocite.pairgraph import Authorship
 from cocite.pipeline import PipelineConfig, build_profiles, corpus_digest
 from cocite.stats import ccdf, equal_count_bins, fit_model_ladder, fit_quadratic, quadrant_counts, ternary_shares
 from cocite.synth import planted_regression_cohort
@@ -30,8 +30,10 @@ from helpers import (
     graph_from_edges,
     naive_modularity,
     nmi,
+    numbered_assignment,
     oracle_average_distance,
     oracle_impact,
+    pair_graph,
     planted_partition_pair_graph,
     random_pair_corpus,
     random_pair_graph,
@@ -129,13 +131,14 @@ def test_criterion_3_impact_allocation_matches_oracle_exactly(capsys):
         for seed in range(100):
             records, mentor, mentee, assignment = random_pair_corpus(seed)
             index = CitationIndex(records)
-            graph = build_pair_graph(mentor, mentee, index)
-            alloc = allocate_impact(graph, assignment, index)
-            oracle = oracle_impact(records, graph.labels, assignment.topics)
+            graph = pair_graph(mentor, mentee, index)
+            alloc = allocate_impact(graph, numbered_assignment(assignment, index), index)
+            labels = {index.paper_ids[n]: label for n, label in graph.labels.items()}
+            oracle = oracle_impact(records, labels, assignment.topics)
             assert set(alloc.topics) == set(oracle.topics)
             for j, topic in alloc.topics.items():
-                assert set(topic.pool) == oracle.topics[j].pool
-                assert {r.paper_id: r.w for r in topic.rows} == oracle.topics[j].w
+                assert {index.paper_ids[c] for c in topic.pool} == oracle.topics[j].pool
+                assert {index.paper_ids[r.paper]: r.w for r in topic.rows} == oracle.topics[j].w
                 assert topic.c_mentee == oracle.topics[j].c_mentee
                 assert topic.c_mentor == oracle.topics[j].c_mentor
             assert alloc.mentee_total == oracle.mentee_total

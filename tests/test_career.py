@@ -14,10 +14,9 @@ from cocite.career import (
 )
 from cocite.community import TopicAssignment
 from cocite.impact import allocate_impact
-from cocite.pairgraph import build_pair_graph
 from cocite.topics import TopicType, classify_topics
 
-from helpers import make_index, paper
+from helpers import make_index, numbered_assignment, pair_graph, paper
 
 
 class TestSeries:
@@ -62,12 +61,15 @@ def pair_fixture():
         paper("c1", "x", year=2006, refs=("e1", "r1", "r2")),
         paper("c2", "y", year=2013, refs=("e2", "e3")),
     )
-    graph = build_pair_graph("R", "E", index)
+    graph = pair_graph("R", "E", index)
     topics = {0: ("e1", "r1", "r2"), 1: ("e2", "e3")}
-    assignment = TopicAssignment(
-        topic_of={m: j for j, ms in topics.items() for m in ms},
-        topics=topics,
-        modularity_q=0.0,
+    assignment = numbered_assignment(
+        TopicAssignment(
+            topic_of={m: j for j, ms in topics.items() for m in ms},
+            topics=topics,
+            modularity_q=0.0,
+        ),
+        index,
     )
     allocation = allocate_impact(graph, assignment, index)
     typing = classify_topics(graph, assignment)
@@ -77,8 +79,8 @@ def pair_fixture():
 class TestTypedRows:
     def test_years_are_role_relative(self):
         index, allocation, typing = pair_fixture()
-        mentee_rows = typed_contributions(allocation, typing, index, "mentee")
-        mentor_rows = typed_contributions(allocation, typing, index, "mentor")
+        mentee_rows = typed_contributions(allocation, typing, index, "mentee", 2000)
+        mentor_rows = typed_contributions(allocation, typing, index, "mentor", 1990)
         assert sorted(mentee_rows) == [
             (0, 1.0, typing.type_of[0]),
             (5, 1.0, TopicType.NEW),
@@ -93,11 +95,11 @@ class TestTypedRows:
     def test_unknown_role_raises(self):
         index, allocation, typing = pair_fixture()
         with pytest.raises(ValueError):
-            typed_contributions(allocation, typing, index, "advisor")
+            typed_contributions(allocation, typing, index, "advisor", 2000)
 
     def test_rows_rebuild_the_series_total(self):
         index, allocation, typing = pair_fixture()
-        rows = typed_contributions(allocation, typing, index, "mentee")
+        rows = typed_contributions(allocation, typing, index, "mentee", 2000)
         series = build_career_series([(y, s) for y, s, _ in rows], career_len=12)
         assert series.total == allocation.mentee_total
 

@@ -10,12 +10,11 @@ from cocite.corpus import (
     CohortFlags,
     IngestConfig,
     cohort_flags,
-    five_year_citations,
     ingest_corpus,
 )
 from cocite.errors import DuplicatePaperId, EmptyCorpus, MalformedRecord
 
-from helpers import make_index, paper
+from helpers import dict_index, index_as_dicts, make_index, paper
 
 
 def write_corpus(tmp_path, papers, mentorships):
@@ -59,10 +58,11 @@ class TestIngest:
         result = ingest_corpus(ppath, mpath, BASE_CFG)
         idx = result.index
         assert idx.n_papers == 3
-        assert idx.cited_by_map == {"p1": ("p3",), "p2": ("p1", "p3"), "p3": ()}
-        assert idx.author_papers["a1"] == ("p2", "p1")  # sorted by year
-        assert idx.paper_authors["p2"] == ("a2", "a1")
-        assert idx.pub_year == {"p1": 1990, "p2": 1985, "p3": 2000}
+        maps = index_as_dicts(idx)
+        assert maps.cited_by_map == {"p1": ("p3",), "p2": ("p1", "p3"), "p3": ()}
+        assert maps.author_papers["a1"] == ("p2", "p1")  # sorted by year
+        assert maps.paper_authors["p2"] == ("a2", "a1")
+        assert maps.pub_year == {"p1": 1990, "p2": 1985, "p3": 2000}
         assert len(result.mentorships) == 1
 
     def test_year_window_filter_counted(self, tmp_path):
@@ -73,7 +73,7 @@ class TestIngest:
         ]
         ppath, mpath = write_corpus(tmp_path, papers, [mship_obj("a1", "a2")])
         result = ingest_corpus(ppath, mpath, BASE_CFG)
-        assert "p1" not in result.index.pub_year
+        assert result.index.paper("p1") is None
         assert result.report["papers", "year_out_of_window"] == 1
         assert result.report["papers", "ingested"] == 2
 
@@ -86,7 +86,7 @@ class TestIngest:
         ppath, mpath = write_corpus(tmp_path, papers, ments)
         cfg = IngestConfig(min_papers=0, field="x")
         result = ingest_corpus(ppath, mpath, cfg)
-        assert set(result.index.pub_year) == {"p1"}
+        assert result.index.paper_ids == ["p1"]
         assert result.report["papers", "field_filtered"] == 1
         assert result.report["mentorships", "field_filtered"] == 1
         assert len(result.mentorships) == 1
@@ -112,7 +112,7 @@ class TestIngest:
         papers = [paper_obj("p1", ["a1"], refs=["p1", "p2", "p2"]), paper_obj("p2", ["a2"])]
         ppath, mpath = write_corpus(tmp_path, papers, [mship_obj("a1", "a2")])
         result = ingest_corpus(ppath, mpath, BASE_CFG)
-        assert result.index.cited_by_map == {"p1": (), "p2": ("p1",)}
+        assert index_as_dicts(result.index).cited_by_map == {"p1": (), "p2": ("p1",)}
         assert result.report["papers", "self_reference_removed"] == 1
         assert result.report["papers", "duplicate_reference_removed"] == 1
 
@@ -178,13 +178,14 @@ class TestIngest:
 
 class TestIndex:
     def test_author_dedup(self):
-        idx = make_index(paper("p1", ("a", "a", "b")))
-        assert idx.paper_authors["p1"] == ("a", "b")
-        assert idx.author_papers == {"a": ("p1",), "b": ("p1",)}
+        maps = index_as_dicts(make_index(paper("p1", ("a", "a", "b"))))
+        assert maps.paper_authors["p1"] == ("a", "b")
+        assert maps.author_papers == {"a": ("p1",), "b": ("p1",)}
 
     def test_dangling_refs_never_enter_cited_by(self):
         idx = make_index(paper("p1", "a", refs=("ghost",)), paper("p2", "b", refs=("p1", "ghost")))
-        assert idx.cited_by_map == {"p1": ("p2",), "p2": ()}
+        assert index_as_dicts(idx).cited_by_map == {"p1": ("p2",), "p2": ()}
+        assert idx.paper("ghost") is None
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -198,12 +199,54 @@ class TestIndex:
             )
             refs = [r for r in refs if r != pid]
             records.append(paper(pid, "a", refs=tuple(refs)))
-        idx = CitationIndex(records)
-        assert list(idx.cited_by_map) == ids
+        cited_by_map = index_as_dicts(CitationIndex(records)).cited_by_map
+        assert list(cited_by_map) == ids
         for p in ids:
             for rec in records:
-                assert (rec.paper_id in idx.cited_by_map[p]) == (p in rec.reference_ids)
-            assert idx.cited_by_map[p] == tuple(sorted(idx.cited_by_map[p]))
+                assert (rec.paper_id in cited_by_map[p]) == (p in rec.reference_ids)
+            assert cited_by_map[p] == tuple(sorted(cited_by_map[p]))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_accessor_matches_dict_index(self, data):
+        # Ids mix ASCII and non-ASCII characters; references may point
+        # forward, back, to the citing paper itself or to ids with no record,
+        # and author lists may repeat an author.
+        ident = st.text(alphabet="aZ09-\u00e9\u00fc\u4e2d\U0001f600", min_size=1, max_size=4)
+        ids = data.draw(st.lists(ident, min_size=1, max_size=12, unique=True))
+        authors = data.draw(st.lists(ident, min_size=1, max_size=6, unique=True))
+        ghosts = ["ghost", "\u00e9ghost"]
+        records = [
+            paper(
+                pid,
+                tuple(data.draw(st.lists(st.sampled_from(authors), min_size=1, max_size=4))),
+                year=data.draw(st.integers(1960, 2021)),
+                refs=tuple(data.draw(st.lists(st.sampled_from(ids + ghosts), max_size=5))),
+            )
+            for pid in ids
+        ]
+        idx = CitationIndex(records)
+        oracle = dict_index(records)
+        assert index_as_dicts(idx) == oracle
+        assert idx.n_papers == len(ids)
+        assert idx.paper_ids == sorted(ids)
+        assert idx.author_ids == sorted(oracle.author_papers)
+        # Sorting numbers sorts ids.
+        subset = data.draw(st.lists(st.sampled_from(ids), unique=True))
+        assert [idx.paper_ids[p] for p in sorted(map(idx.paper, subset))] == sorted(subset)
+        for g in ghosts:
+            assert idx.paper(g) is None
+            assert idx.author(g) is None
+            assert idx.paper_count(g) == 0
+        for a, papers in oracle.author_papers.items():
+            assert idx.paper_count(a) == len(papers)
+        window = data.draw(st.integers(0, 10))
+        windowed = idx.windowed_citations(window)
+        for pid, citers in oracle.cited_by_map.items():
+            year = oracle.pub_year[pid]
+            expected = sum(1 for c in citers if 0 <= oracle.pub_year[c] - year <= window)
+            assert windowed[idx.paper(pid)] == expected
 
 
 class TestCohortFlags:
@@ -213,7 +256,7 @@ class TestCohortFlags:
             paper("p2", "a", year=2011),
             paper("p3", "a", year=1995),
         )
-        flags = cohort_flags("a", idx)
+        flags = cohort_flags(idx.author("a"), idx)
         assert flags == CohortFlags(
             first_pub_year=1980,
             career_len=31,
@@ -223,7 +266,7 @@ class TestCohortFlags:
 
     def test_short_career(self):
         idx = make_index(paper("p1", "a", year=1992), paper("p2", "a", year=2000))
-        flags = cohort_flags("a", idx)
+        flags = cohort_flags(idx.author("a"), idx)
         assert not flags.pre_1990_starter
         assert not flags.career_30y
         assert flags.career_len == 8
@@ -238,5 +281,5 @@ class TestFiveYearCitations:
             paper("c6", "x3", year=2006, refs=("p",)),
             paper("cpast", "x4", year=1999, refs=("p",)),
         )
-        assert five_year_citations("p", idx) == 2
-        assert five_year_citations("p", idx, window=6) == 3
+        assert idx.windowed_citations(5)[idx.paper("p")] == 2
+        assert idx.windowed_citations(6)[idx.paper("p")] == 3

@@ -2,14 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocite.community import TopicAssignment
 from cocite.impact import allocate_impact, cociting_pool
-from cocite.pairgraph import MENTEE_SIDE, build_pair_graph
+from cocite.pairgraph import MENTEE_SIDE
 
-from helpers import make_index, oracle_impact, paper, random_pair_corpus
+from helpers import make_index, numbered_assignment, oracle_impact, pair_graph, paper, random_pair_corpus
 
 
 def assignment_for(topics):
@@ -22,6 +23,10 @@ def assignment_for(topics):
         topics={j: tuple(sorted(ms)) for j, ms in topics.items()},
         modularity_q=0.0,
     )
+
+
+def ids(index, papers):
+    return [index.paper_ids[p] for p in papers]
 
 
 def hand_fixture():
@@ -37,24 +42,26 @@ def hand_fixture():
         paper("c3", "x3", refs=("r1",)),
         paper("c4", "x4", refs=("r1", "j1")),
     )
-    graph = build_pair_graph("R", "E", index)
-    assignment = assignment_for({0: ["e1", "r1", "j1"]})
+    graph = pair_graph("R", "E", index)
+    assignment = numbered_assignment(assignment_for({0: ["e1", "r1", "j1"]}), index)
     return index, graph, assignment
 
 
 class TestHandValues:
     def test_pool_membership(self):
         index, _, _ = hand_fixture()
-        assert cociting_pool(("e1", "r1", "j1"), index) == ("c1", "c2", "c4")
+        pool, w = cociting_pool(np.array([index.paper(p) for p in ("e1", "r1", "j1")]), index)
+        assert ids(index, pool) == ["c1", "c2", "c4"]
+        assert w.tolist() == [2, 2, 2]
 
     def test_scores_and_shares(self):
         index, graph, assignment = hand_fixture()
         alloc = allocate_impact(graph, assignment, index)
         topic = alloc.topics[0]
         assert topic.p_j_size == 3
-        w = {r.paper_id: r.w for r in topic.rows}
+        w = {index.paper_ids[r.paper]: r.w for r in topic.rows}
         assert w == {"e1": 2, "r1": 2, "j1": 2}
-        shares = {r.paper_id: r.contribution for r in topic.rows}
+        shares = {index.paper_ids[r.paper]: r.contribution for r in topic.rows}
         assert shares == {"e1": 2 / 1, "r1": 2 / 2, "j1": 2 / 2}
         # Joint paper lands on both sides.
         assert topic.c_mentee == pytest.approx(2.0 + 1.0)
@@ -70,9 +77,9 @@ class TestHandValues:
             paper("c1", "x", refs=("e1", "e2")),
             paper("c2", "y", refs=("r1",)),
         )
-        graph = build_pair_graph("R", "E", index)
-        alloc = allocate_impact(graph, assignment_for({0: ["e1", "e2", "r1"]}), index)
-        w = {r.paper_id: r.w for r in alloc.topics[0].rows}
+        graph = pair_graph("R", "E", index)
+        alloc = allocate_impact(graph, numbered_assignment(assignment_for({0: ["e1", "e2", "r1"]}), index), index)
+        w = {index.paper_ids[r.paper]: r.w for r in alloc.topics[0].rows}
         assert w == {"e1": 1, "e2": 1, "r1": 0}
         assert alloc.mentor_total == 0.0
 
@@ -86,21 +93,20 @@ class TestHandValues:
             paper("c1", "x", refs=("e1", "r1")),
             paper("c2", "y", refs=("e1", "e2")),
         )
-        graph = build_pair_graph("R", "E", index)
+        graph = pair_graph("R", "E", index)
         alloc = allocate_impact(
-            graph, assignment_for({0: ["e1", "e2"], 1: ["r1", "r2"]}), index
+            graph, numbered_assignment(assignment_for({0: ["e1", "e2"], 1: ["r1", "r2"]}), index), index
         )
-        assert alloc.topics[0].pool == ("c2",)
-        assert alloc.topics[1].pool == ()
+        assert ids(index, alloc.topics[0].pool) == ["c2"]
+        assert ids(index, alloc.topics[1].pool) == []
 
     def test_unassigned_papers_excluded(self):
         index, graph, _ = hand_fixture()
-        assignment = assignment_for({0: ["e1", "r1"]})  # j1 left out
+        assignment = numbered_assignment(assignment_for({0: ["e1", "r1"]}), index)  # j1 left out
         alloc = allocate_impact(graph, assignment, index)
-        ids = [r.paper_id for r in alloc.topics[0].rows]
-        assert "j1" not in ids
+        assert "j1" not in ids(index, [r.paper for r in alloc.topics[0].rows])
         # Pool only needs >=2 members among {e1, r1}: c2 and c4 cite one each.
-        assert alloc.topics[0].pool == ("c1",)
+        assert ids(index, alloc.topics[0].pool) == ["c1"]
 
 
 class TestConservation:
@@ -122,14 +128,15 @@ class TestAgainstOracle:
     def test_exact_equality(self, seed):
         records, mentor, mentee, assignment = random_pair_corpus(seed)
         index = make_index(*records)
-        graph = build_pair_graph(mentor, mentee, index)
-        alloc = allocate_impact(graph, assignment, index)
-        oracle = oracle_impact(records, graph.labels, assignment.topics)
+        graph = pair_graph(mentor, mentee, index)
+        alloc = allocate_impact(graph, numbered_assignment(assignment, index), index)
+        labels = {index.paper_ids[n]: label for n, label in graph.labels.items()}
+        oracle = oracle_impact(records, labels, assignment.topics)
         assert set(alloc.topics) == set(oracle.topics)
         for j, topic in alloc.topics.items():
             ora = oracle.topics[j]
-            assert set(topic.pool) == ora.pool
-            assert {r.paper_id: r.w for r in topic.rows} == ora.w
+            assert set(ids(index, topic.pool)) == ora.pool
+            assert {index.paper_ids[r.paper]: r.w for r in topic.rows} == ora.w
             assert topic.c_mentee == ora.c_mentee
             assert topic.c_mentor == ora.c_mentor
             # Exact rational totals bound the float error of the fsum path.

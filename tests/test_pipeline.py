@@ -4,7 +4,10 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +30,9 @@ from cocite.pipeline import (
 )
 from cocite.corpus import ingest_corpus
 from cocite.synth import SynthConfig, synthesize_corpus, write_corpus
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +354,10 @@ class TestRunPipeline:
             "distance_substituted",
             "empty_outputs",
             "workers",
+            "peak_rss_mb",
         }
+        assert set(stats["peak_rss_mb"]) == {"self", "children"}
+        assert stats["peak_rss_mb"]["self"] > 0
         with (result.out_dir / "profiles.csv").open(newline="") as f:
             rows = list(csv.DictReader(f))
         assert stats["distance_substituted"] == sum(
@@ -464,10 +473,14 @@ class TestRunPipeline:
         self, corpus_dir, tmp_path, monkeypatch, workers
     ):
         config = make_config(corpus_dir, tmp_path / "run", workers=workers)
-        mentorships = ingest_corpus(
-            config.papers, config.mentorships, config.ingest_config()
-        ).mentorships
-        ordered = sorted(mentorships, key=lambda m: (m.field, m.mentor_id, m.mentee_id))
+        ingested = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
+        index = ingested.index
+        # Pairs are computed largest first, ties in (field, mentor, mentee) order.
+        ordered = sorted(
+            sorted(ingested.mentorships, key=lambda m: (m.field, m.mentor_id, m.mentee_id)),
+            key=lambda m: index.paper_count(m.mentor_id) + index.paper_count(m.mentee_id),
+            reverse=True,
+        )
         k = 3
         real = cocite.pipeline.build_pair_profile
 
@@ -560,6 +573,75 @@ class TestRunPipeline:
         assert 1 < pooled.cache_misses < 8
         assert sizes == [pooled.cache_misses]
         assert pooled.manifest_path.read_bytes() == serial.manifest_path.read_bytes()
+
+    def test_pool_starts_after_the_kernels_import_and_takes_largest_pairs_first(
+        self, corpus_dir, tmp_path
+    ):
+        # A fresh interpreter, since this one has imported SciPy already.
+        script = """
+import json, sys
+import cocite.pipeline
+from cocite.pipeline import PipelineConfig, run_pipeline
+
+seen = {}
+
+class RecordingPool(cocite.pipeline.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        seen["csgraph_imported"] = "scipy.sparse.csgraph" in sys.modules
+        super().__init__(*args, **kwargs)
+
+    def map(self, fn, pairs, **kwargs):
+        seen["order"] = [[m.mentor_id, m.mentee_id] for m in pairs]
+        return super().map(fn, pairs, **kwargs)
+
+cocite.pipeline.ProcessPoolExecutor = RecordingPool
+papers, mentorships, out = sys.argv[1:]
+run_pipeline(PipelineConfig(papers=papers, mentorships=mentorships, out=out, workers=2))
+print(json.dumps(seen))
+"""
+        config = make_config(corpus_dir, tmp_path / "pool")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, config.papers, config.mentorships, config.out],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen["csgraph_imported"]
+        index = ingest_corpus(config.papers, config.mentorships, config.ingest_config()).index
+        sizes = [index.paper_count(mentor) + index.paper_count(mentee) for mentor, mentee in seen["order"]]
+        assert len(sizes) > 1 and sizes == sorted(sizes, reverse=True)
+        serial = run_pipeline(make_config(corpus_dir, tmp_path / "serial"))
+        assert (tmp_path / "pool" / "manifest.json").read_bytes() == serial.manifest_path.read_bytes()
+
+    def test_no_scipy_during_ingest_or_an_all_hit_pair_stage(self, corpus_dir, tmp_path):
+        config = make_config(corpus_dir, tmp_path / "run")
+        run_pipeline(config)
+        script = """
+import json, sys
+from pathlib import Path
+
+import cocite
+from cocite.pipeline import PipelineConfig, build_profiles, corpus_digest
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+papers, mentorships, out = sys.argv[1:]
+config = PipelineConfig(papers=papers, mentorships=mentorships, out=out)
+ingested = cocite.ingest_corpus(papers, mentorships, config.ingest_config())
+after_ingest = scipy_modules()
+digest = corpus_digest(papers, mentorships)
+stage = build_profiles(ingested.index, ingested.mentorships, config, digest, Path(out) / "cache")
+print(json.dumps([after_ingest, scipy_modules(), stage.cache_misses, len(stage.profiles)]))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, config.papers, config.mentorships, config.out],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        after_ingest, after_stage, misses, n_profiles = json.loads(proc.stdout)
+        assert (after_ingest, after_stage, misses) == ([], [], 0)
+        assert n_profiles > 0
 
     @pytest.mark.parametrize("min_community_size", [10, 10_000])
     def test_pool_run_matches_serial(self, corpus_dir, tmp_path, min_community_size):

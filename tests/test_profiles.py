@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import fields
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,33 @@ def built():
     return corpus, profiles
 
 
+def plain_values(value):
+    """Every leaf value of a profile field: numbers, flags, strings and enums."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from plain_values(k)
+            yield from plain_values(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from plain_values(v)
+    elif hasattr(value, "__dataclass_fields__"):
+        for f in fields(value):
+            yield from plain_values(getattr(value, f.name))
+    else:
+        yield value
+
+
 class TestAssembly:
+    def test_values_are_python_scalars(self, built):
+        # A numpy scalar would print differently in profiles.csv (np.bool_)
+        # or in the cache's JSON.
+        _, profiles = built
+        for profile in profiles.values():
+            for value in plain_values(profile):
+                assert type(value) in (int, float, bool, str, type(None)) or isinstance(value, Enum), (
+                    type(value)
+                )
+
     def test_scalars_track_truth(self, built):
         corpus, profiles = built
         for key, profile in profiles.items():

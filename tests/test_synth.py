@@ -9,19 +9,26 @@ from hypothesis import given, settings, strategies as st
 from cocite.community import detect_topics
 from cocite.corpus import CitationIndex, IngestConfig, cohort_flags, ingest_corpus
 from cocite.impact import allocate_impact
-from cocite.pairgraph import MENTEE_SIDE, MENTOR_SIDE, build_pair_graph
+from cocite.pairgraph import MENTEE_SIDE, MENTOR_SIDE
 from cocite.synth import SynthConfig, planted_regression_cohort, synthesize_corpus, write_corpus
 from cocite.topics import classify_strategy, classify_topics
 
 from helpers import (
     make_index,
+    named_pair_graph,
     oracle_impact,
+    pair_graph,
     paper,
     planted_partition_pair_graph,
     random_pair_corpus,
     random_pair_graph,
     side_nodes,
 )
+
+
+def topic_ids(index, assignment):
+    """Each detected topic's members as a set of paper ids."""
+    return {j: frozenset(index.paper_ids[p] for p in ms) for j, ms in assignment.topics.items()}
 
 
 class TestDeterminism:
@@ -53,8 +60,8 @@ class TestPlantedPairs:
     def test_realized_careers_match_truth(self, corpus):
         index = CitationIndex(corpus.papers)
         for truth in corpus.truths.values():
-            mte = cohort_flags(truth.mentee_id, index)
-            mto = cohort_flags(truth.mentor_id, index)
+            mte = cohort_flags(index.author(truth.mentee_id), index)
+            mto = cohort_flags(index.author(truth.mentor_id), index)
             assert mte.first_pub_year == truth.mentee_first_year
             assert mte.career_len == truth.mentee_career_len
             assert mto.first_pub_year == truth.mentor_first_year
@@ -63,9 +70,9 @@ class TestPlantedPairs:
     def test_detection_recovers_planted_topics(self, corpus):
         index = CitationIndex(corpus.papers)
         for (mentor, mentee), truth in corpus.truths.items():
-            graph = build_pair_graph(mentor, mentee, index)
+            graph = pair_graph(mentor, mentee, index)
             assignment = detect_topics(graph)
-            detected = {frozenset(ms) for ms in assignment.topics.values()}
+            detected = set(topic_ids(index, assignment).values())
             planted = {}
             for pid, t in truth.topic_of.items():
                 planted.setdefault(t, set()).add(pid)
@@ -74,9 +81,10 @@ class TestPlantedPairs:
     def test_planted_impact_matches_allocation(self, corpus):
         index = CitationIndex(corpus.papers)
         for (mentor, mentee), truth in corpus.truths.items():
-            graph = build_pair_graph(mentor, mentee, index)
+            graph = pair_graph(mentor, mentee, index)
             assignment = detect_topics(graph)
             alloc = allocate_impact(graph, assignment, index)
+            members = topic_ids(index, assignment)
             # Map detected ids onto planted ids via their member sets.
             planted_members = {}
             for pid, t in truth.topic_of.items():
@@ -85,7 +93,7 @@ class TestPlantedPairs:
                 frozenset(ms): t for t, ms in planted_members.items()
             }
             for j, topic in alloc.topics.items():
-                t = member_to_planted[frozenset(assignment.topics[j])]
+                t = member_to_planted[members[j]]
                 assert topic.c_mentee == truth.per_topic_mentee_impact[t]
                 assert topic.c_mentor == truth.per_topic_mentor_impact[t]
             assert alloc.mentee_total == truth.mentee_total
@@ -94,7 +102,7 @@ class TestPlantedPairs:
     def test_planted_strategy_recovered(self, corpus):
         index = CitationIndex(corpus.papers)
         for (mentor, mentee), truth in corpus.truths.items():
-            graph = build_pair_graph(mentor, mentee, index)
+            graph = pair_graph(mentor, mentee, index)
             assignment = detect_topics(graph)
             typing = classify_topics(graph, assignment)
             rec = classify_strategy(typing)
@@ -106,9 +114,10 @@ class TestPlantedPairs:
     def test_planted_primary_topics_recovered(self, corpus):
         index = CitationIndex(corpus.papers)
         for (mentor, mentee), truth in corpus.truths.items():
-            graph = build_pair_graph(mentor, mentee, index)
+            graph = pair_graph(mentor, mentee, index)
             assignment = detect_topics(graph)
             typing = classify_topics(graph, assignment)
+            members = topic_ids(index, assignment)
             planted_members = {}
             for pid, t in truth.topic_of.items():
                 planted_members.setdefault(t, set()).add(pid)
@@ -116,7 +125,7 @@ class TestPlantedPairs:
                 frozenset(ms): t for t, ms in planted_members.items()
             }
             primary = {
-                member_to_planted[frozenset(assignment.topics[j])]
+                member_to_planted[members[j]]
                 for j, kind in typing.mentor_side.items()
                 if kind.value == "primary"
             }
@@ -143,7 +152,7 @@ class TestOracleImpact:
             paper("c3", "x3", refs=("r1",)),
             paper("c4", "x4", refs=("r1", "j1")),
         ]
-        graph = build_pair_graph("R", "E", make_index(*records))
+        graph = named_pair_graph("R", "E", make_index(*records))
         oracle = oracle_impact(records, graph.labels, {0: ("e1", "r1", "j1")})
         topic = oracle.topics[0]
         assert topic.pool == {"c1", "c2", "c4"}
@@ -168,7 +177,7 @@ class TestGeneratorValidity:
     def test_random_pair_corpus_assignment_is_dense(self, seed):
         records, mentor, mentee, assignment = random_pair_corpus(seed)
         index = make_index(*records)
-        assert mentor in index.author_papers and mentee in index.author_papers
+        assert index.author(mentor) is not None and index.author(mentee) is not None
         ids = sorted(assignment.topics)
         assert ids == list(range(len(ids)))
         sizes = [len(assignment.topics[j]) for j in ids]

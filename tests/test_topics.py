@@ -163,12 +163,12 @@ class TestCitationTotals:
 
     def test_window_is_inclusive(self):
         index = self.make()
-        assert author_citation_total("a", index, window=5) == 2
+        assert author_citation_total(index.author("a"), index, window=5) == 2
 
     def test_window_shrinks_total(self):
         index = self.make()
-        assert author_citation_total("a", index, window=2) == 1
+        assert author_citation_total(index.author("a"), index, window=2) == 1
 
     def test_wide_window_counts_all_later_citers(self):
         index = self.make()
-        assert author_citation_total("a", index, window=10) == 3
+        assert author_citation_total(index.author("a"), index, window=10) == 3
