@@ -4,8 +4,8 @@ statistics, and a deterministic report bundle.
 Every output file is byte-stable for a given corpus and configuration:
 rows are fully sorted, floats are written with repr, and nothing volatile
 (timestamps, absolute paths, cache statistics) lands in hashed outputs.
-Cache statistics, distance-substitution counts and peak RSS go to run_stats.json,
-which the manifest does not cover.
+Cache statistics, stage times, distance-substitution counts and peak RSS
+go to run_stats.json, which the manifest does not cover.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 import multiprocessing
 import os
 import resource
+import time
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field as dc_field, fields as dc_fields
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .career import cohort_average_series
-from .corpus import CitationIndex, IngestConfig, MentorshipRecord, ingest_corpus
+from .corpus import CitationIndex, IngestCache, IngestConfig, MentorshipRecord, ingest_corpus
 from .errors import CociteError, InvalidConfig
 from .profiles import (
     MENTEE_TYPES,
@@ -228,21 +229,31 @@ def corpus_digest(papers_path: str | Path, mentorships_path: str | Path) -> str:
     return h.hexdigest()
 
 
+def _cache_key(corpus_hash: str, settings: dict[str, object], **pair: str) -> str:
+    """The key of a cache entry decided by the corpus, these settings, the
+    code version and, for a pair's entry, the pair."""
+    blob = json.dumps(
+        {"corpus": corpus_hash, "settings": settings, "version": __version__, **pair}, sort_keys=True
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def ingest_cache_key(corpus_hash: str, config: PipelineConfig) -> str:
+    """Covers the ingest settings and the code version, so the ingest entry
+    is served only where a recompute would give the same result."""
+    return _cache_key(corpus_hash, asdict(config.ingest_config()))
+
+
 def pair_cache_key(corpus_hash: str, mentorship: MentorshipRecord, config: PipelineConfig) -> str:
     """Covers every ingest and per-pair setting and the code version, so an
     entry is served only where a recompute would give the same profile; the
     cohort-only settings do not decide a profile and stay out."""
-    blob = json.dumps(
-        {
-            "corpus": corpus_hash,
-            "mentor": mentorship.mentor_id,
-            "mentee": mentorship.mentee_id,
-            "settings": asdict(config.ingest_config()) | asdict(config.pair_params()),
-            "version": __version__,
-        },
-        sort_keys=True,
+    return _cache_key(
+        corpus_hash,
+        asdict(config.ingest_config()) | asdict(config.pair_params()),
+        mentor=mentorship.mentor_id,
+        mentee=mentorship.mentee_id,
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 Failure = tuple[str, str, str, str]  # mentor_id, mentee_id, stage, reason
@@ -608,17 +619,31 @@ class RunResult:
     manifest_path: Path
 
 
+# The stages of a run, in order, as `run_stats.json` times them.
+RUN_STAGES = ("digest", "ingest", "pair_stage", "cohort", "manifest")
+
+
 def run_pipeline(config: PipelineConfig) -> RunResult:
-    """Ingest, per-pair stage, cohort stage, report bundle, manifest."""
+    """Digest, ingest, per-pair stage, cohort stage, report bundle, manifest.
+
+    The ingest result and each profile are cached under `<out>/cache`.
+    """
     check_config(config)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    ingest_result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
-    write_ingest_report(out_dir / "ingest_report.csv", ingest_result.report)
-    written = ["ingest_report.csv"]
+    ends = [time.perf_counter()]  # the start, then the end of each stage
 
     corpus_hash = corpus_digest(config.papers, config.mentorships)
+    ends.append(time.perf_counter())
+
+    ingest_cache = IngestCache(out_dir / "cache" / "ingest.npz", ingest_cache_key(corpus_hash, config))
+    ingest_result = ingest_corpus(
+        config.papers, config.mentorships, config.ingest_config(), cache=ingest_cache
+    )
+    write_ingest_report(out_dir / "ingest_report.csv", ingest_result.report)
+    written = ["ingest_report.csv"]
+    ends.append(time.perf_counter())
+
     stage = build_profiles(
         ingest_result.index,
         ingest_result.mentorships,
@@ -626,6 +651,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         corpus_hash,
         cache_dir=out_dir / "cache",
     )
+    ends.append(time.perf_counter())
     assign_elites(stage.profiles, config)
 
     write_csv(
@@ -637,6 +663,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 
     cohort_files, empty_outputs = cohort_outputs(stage.profiles, config, out_dir)
     written += cohort_files
+    ends.append(time.perf_counter())
 
     manifest = {
         "version": __version__,
@@ -651,11 +678,14 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     manifest_path.write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+    ends.append(time.perf_counter())
 
     run_stats = {
         "cache_hits": stage.cache_hits,
         "cache_misses": stage.cache_misses,
-        "cache_corrupt": stage.cache_corrupt,
+        "cache_corrupt": stage.cache_corrupt + (ingest_cache.status == "corrupt"),
+        "ingest_cache": ingest_cache.status,
+        "stages_s": dict(zip(RUN_STAGES, np.diff(ends).tolist())),
         "distance_substituted": sum(p.distance_substituted for p in stage.profiles),
         "empty_outputs": empty_outputs,
         "workers": config.workers,

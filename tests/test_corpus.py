@@ -1,14 +1,21 @@
 """Ingestion, validation, and citation index behavior."""
 
 import json
+import tempfile
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocite.corpus import (
     CitationIndex,
     CohortFlags,
+    IngestCache,
     IngestConfig,
+    IngestResult,
+    MentorshipRecord,
     cohort_flags,
     ingest_corpus,
 )
@@ -247,6 +254,70 @@ class TestIndex:
             year = oracle.pub_year[pid]
             expected = sum(1 for c in citers if 0 <= oracle.pub_year[c] - year <= window)
             assert windowed[idx.paper(pid)] == expected
+
+
+def index_arrays(index):
+    return {
+        "pub_year": index.pub_year,
+        **{
+            f"{rows}.{part}": getattr(getattr(index, rows), part)
+            for rows in ("cited_by", "author_papers", "paper_authors")
+            for part in ("indptr", "indices")
+        },
+    }
+
+
+class TestIngestCache:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_store_then_load_round_trips(self, data):
+        # Ids hold non-ASCII characters, NUL, a line break and a lone
+        # surrogate, any of which a JSON string may hold. Authors repeat,
+        # references may point to ids with no record, and may be empty.
+        ident = st.text(alphabet="a9\u00e9\u4e2d\U0001f600\x00\n\ud800", min_size=1, max_size=4)
+        ids = data.draw(st.lists(ident, min_size=1, max_size=10, unique=True))
+        authors = data.draw(st.lists(ident, min_size=1, max_size=5, unique=True))
+        ghosts = ["ghost", "\ud800ghost"]
+        records = [
+            paper(
+                pid,
+                tuple(data.draw(st.lists(st.sampled_from(authors), min_size=1, max_size=4))),
+                year=data.draw(st.integers(1960, 2021)),
+                refs=tuple(
+                    r
+                    for r in data.draw(st.lists(st.sampled_from(ids + ghosts), max_size=5, unique=True))
+                    if r != pid
+                ),
+            )
+            for pid in ids
+        ]
+        mentorship = st.builds(MentorshipRecord, ident, ident, st.none() | st.integers(1900, 2100), ident)
+        mentorships = data.draw(st.lists(mentorship, max_size=4))
+        report = Counter(data.draw(st.dictionaries(st.tuples(ident, ident), st.integers(0, 10**6), max_size=4)))
+        stored = IngestResult(CitationIndex(records), mentorships, report)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = IngestCache(Path(tmp) / "ingest.npz", "key")
+            cache.store(stored)
+            loaded = cache.load()
+            assert cache.status == "hit"
+            other = IngestCache(cache.path, "another key")
+            assert other.load() is None and other.status == "miss"
+
+        for name, array in index_arrays(stored.index).items():
+            got = index_arrays(loaded.index)[name]
+            assert got.dtype == array.dtype and np.array_equal(got, array), name
+        for name in ("paper_ids", "author_ids"):
+            got = getattr(loaded.index, name)
+            assert type(got) is list and all(type(i) is str for i in got)
+            assert got == getattr(stored.index, name)
+        assert loaded.index._windowed == {}
+        assert loaded.mentorships == mentorships
+        assert loaded.report == report
+
+    def test_missing_file_is_a_miss(self, tmp_path):
+        cache = IngestCache(tmp_path / "ingest.npz", "key")
+        assert cache.load() is None and cache.status == "miss"
 
 
 class TestCohortFlags:

@@ -93,6 +93,10 @@ def test_run_outputs_are_pinned(corpus_dir, tmp_path, exclude):
     )
     result = run_pipeline(config)
     assert digests(result.out_dir, RUN_DIGESTS[exclude]) == RUN_DIGESTS[exclude]
+    # A warm run loads the index from the cache and must give the same files.
+    warm = run_pipeline(config)
+    assert json.loads((warm.out_dir / "run_stats.json").read_text())["ingest_cache"] == "hit"
+    assert digests(warm.out_dir, RUN_DIGESTS[exclude]) == RUN_DIGESTS[exclude]
 
 
 @pytest.mark.parametrize("exclude", [False, True], ids=["default", "exclude_self_cocitation"])

@@ -10,8 +10,10 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import cocite.corpus
 import cocite.pipeline
 import cocite.profiles
 from cocite.errors import InvalidConfig, NoFinitePaths
@@ -21,6 +23,7 @@ from cocite.pipeline import (
     assign_elites,
     build_profiles,
     corpus_digest,
+    ingest_cache_key,
     load_config_file,
     pair_cache_key,
     profile_table,
@@ -28,7 +31,7 @@ from cocite.pipeline import (
     run_pipeline,
     write_csv,
 )
-from cocite.corpus import ingest_corpus
+from cocite.corpus import IngestCache, MentorshipRecord, ingest_corpus
 from cocite.synth import SynthConfig, synthesize_corpus, write_corpus
 
 
@@ -175,6 +178,24 @@ class TestCacheKeys:
         # Cohort-only and volatile settings do not decide a profile.
         assert pair_cache_key(digest, m1, PipelineConfig(n_bins=10)) == k_base
         assert pair_cache_key(digest, m1, PipelineConfig(top_fraction=0.3, workers=2)) == k_base
+
+    def test_pair_key_is_pinned(self):
+        # A cache filled by an earlier version of the key code stays valid.
+        m = MentorshipRecord("mto\u00e9", "mte0", None, "fieldA")
+        assert pair_cache_key("0" * 64, m, PipelineConfig()) == (
+            "ff13d47fb07d1edf1c97cdd840a094cd69093094160eb15c54f7ec26deae2f4d"
+        )
+        assert pair_cache_key("0" * 64, m, PipelineConfig(gamma=2.0, min_papers=5)) == (
+            "a816b185bb296ebea6ed4a31402b11ca1d1143130083563516aa55e4d6ceed54"
+        )
+
+    def test_ingest_key_depends_on_corpus_and_ingest_settings_only(self):
+        k_base = ingest_cache_key("0" * 64, PipelineConfig())
+        assert ingest_cache_key("1" * 64, PipelineConfig()) != k_base
+        for key, value in [("min_papers", 5), ("year_min", 1970), ("year_max", 2005), ("field", "fieldA")]:
+            assert ingest_cache_key("0" * 64, PipelineConfig(**{key: value})) != k_base, key
+        for key, value in [("gamma", 2.0), ("citation_window", 3), ("n_bins", 10), ("workers", 2)]:
+            assert ingest_cache_key("0" * 64, PipelineConfig(**{key: value})) == k_base, key
 
 
 class TestBuildProfiles:
@@ -351,11 +372,16 @@ class TestRunPipeline:
             "cache_hits",
             "cache_misses",
             "cache_corrupt",
+            "ingest_cache",
+            "stages_s",
             "distance_substituted",
             "empty_outputs",
             "workers",
             "peak_rss_mb",
         }
+        assert stats["ingest_cache"] == "miss"
+        assert set(stats["stages_s"]) == {"digest", "ingest", "pair_stage", "cohort", "manifest"}
+        assert all(seconds >= 0 for seconds in stats["stages_s"].values())
         assert set(stats["peak_rss_mb"]) == {"self", "children"}
         assert stats["peak_rss_mb"]["self"] > 0
         with (result.out_dir / "profiles.csv").open(newline="") as f:
@@ -455,7 +481,8 @@ class TestRunPipeline:
         (out / "cache" / "left.json.123.tmp").write_text("{")
         result = run_pipeline(make_config(corpus_dir, out, gamma=2.0))
         assert result.cache_misses == result.n_profiles > 0
-        assert len(list((out / "cache").iterdir())) == result.n_profiles
+        assert len(list((out / "cache").iterdir())) == result.n_profiles + 1
+        assert (out / "cache" / "ingest.npz").is_file()
         again = run_pipeline(make_config(corpus_dir, out, gamma=2.0))
         assert (again.cache_hits, again.cache_misses) == (result.n_profiles, 0)
 
@@ -497,7 +524,7 @@ class TestRunPipeline:
             f"{pair_cache_key(corpus_digest(config.papers, config.mentorships), m, config)}.json"
             for m in ordered[: k - 1]
         }
-        assert {path.name for path in cache.iterdir()} == expected
+        assert {path.name for path in cache.iterdir()} == expected | {"ingest.npz"}
         assert not (tmp_path / "run" / "profiles.csv").exists()
 
         monkeypatch.undo()
@@ -542,7 +569,7 @@ class TestRunPipeline:
         assert n_deleted > 0
         assert (pooled.cache_hits, pooled.cache_misses) == (len(entries) - n_deleted, n_deleted)
         assert pooled.manifest_path.read_bytes() == cold_manifest
-        assert sorted((out / "cache").iterdir()) == entries
+        assert sorted((out / "cache").iterdir()) == sorted([*entries, out / "cache" / "ingest.npz"])
 
     def test_pool_workers_do_not_reingest(self, corpus_dir, tmp_path, monkeypatch):
         parent = os.getpid()
@@ -653,3 +680,105 @@ print(json.dumps([after_ingest, scipy_modules(), stage.cache_misses, len(stage.p
         assert (serial.n_failures > 0) == (min_community_size > 10)
         for name in ("manifest.json", "failures.csv"):
             assert (pooled.out_dir / name).read_bytes() == (serial.out_dir / name).read_bytes()
+
+
+def run_stats(out):
+    return json.loads((out / "run_stats.json").read_text())
+
+
+def edit_entry(edit):
+    """A damage that stores the entry again after `edit(members)`."""
+
+    def damage(path):
+        with np.load(path, allow_pickle=False) as entry:
+            members = {name: entry[name] for name in entry.files}
+        edit(members)
+        with open(path, "wb") as fh:
+            np.savez(fh, **members)
+
+    return damage
+
+
+def flip_middle_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+ENTRY_DAMAGE = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    "garbage": lambda path: path.write_bytes(b"not an ingest entry"),
+    "empty": lambda path: path.write_bytes(b""),
+    "bad_crc": flip_middle_byte,
+    "extra_member": edit_entry(lambda m: m.update(extra=np.zeros(1))),
+    "missing_member": edit_entry(lambda m: m.pop("pub_year")),
+    "wrong_dtype": edit_entry(lambda m: m.update(pub_year=m["pub_year"].astype(np.int32))),
+    "indptr_end": edit_entry(lambda m: m["cited_by.indptr"].__setitem__(-1, len(m["cited_by.indices"]) + 1)),
+    "index_out_of_range": edit_entry(
+        lambda m: m["paper_authors.indices"].__setitem__(0, len(m["author_ids.lengths"]))
+    ),
+    "id_lengths": edit_entry(lambda m: m["paper_ids.lengths"].__setitem__(0, 10**6)),
+}
+
+
+class TestIngestCache:
+    def test_warm_run_does_not_parse_the_corpus(self, corpus_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cold = run_pipeline(make_config(corpus_dir, out))
+
+        def no_parse(*args):
+            raise AssertionError("corpus parsed on a warm run")
+
+        monkeypatch.setattr(cocite.corpus, "_kept_papers", no_parse)
+        warm = run_pipeline(make_config(corpus_dir, out))
+        assert run_stats(out)["ingest_cache"] == "hit"
+        assert (warm.cache_hits, warm.cache_misses) == (cold.cache_misses, 0)
+        assert warm.manifest_path.read_bytes() == cold.manifest_path.read_bytes()
+
+    def test_pair_setting_reuses_the_ingest_entry(self, corpus_dir, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(make_config(corpus_dir, out))
+        warm = run_pipeline(make_config(corpus_dir, out, gamma=2.0))
+        fresh = run_pipeline(make_config(corpus_dir, tmp_path / "fresh", gamma=2.0))
+        assert run_stats(out)["ingest_cache"] == "hit"
+        assert (warm.cache_hits, warm.cache_misses) == (0, fresh.cache_misses)
+        assert warm.manifest_path.read_bytes() == fresh.manifest_path.read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("min_papers", 5), ("field", "fieldA")])
+    def test_ingest_setting_misses_and_overwrites_the_slot(self, corpus_dir, tmp_path, key, value):
+        out = tmp_path / "run"
+        run_pipeline(make_config(corpus_dir, out))
+        changed = make_config(corpus_dir, out, **{key: value})
+        run_pipeline(changed)
+        assert run_stats(out)["ingest_cache"] == "miss"
+        digest = corpus_digest(changed.papers, changed.mentorships)
+        slot = IngestCache(out / "cache" / "ingest.npz", ingest_cache_key(digest, changed))
+        assert slot.load() is not None and slot.status == "hit"
+        assert [path.name for path in (out / "cache").iterdir() if path.suffix != ".json"] == ["ingest.npz"]
+        fresh = run_pipeline(make_config(corpus_dir, tmp_path / "fresh", **{key: value}))
+        assert (out / "manifest.json").read_bytes() == fresh.manifest_path.read_bytes()
+
+    @pytest.mark.parametrize("damage", list(ENTRY_DAMAGE.values()), ids=list(ENTRY_DAMAGE))
+    def test_damaged_entry_is_reparsed_counted_and_overwritten(self, corpus_dir, tmp_path, damage):
+        out = tmp_path / "run"
+        cold = run_pipeline(make_config(corpus_dir, out))
+        damage(out / "cache" / "ingest.npz")
+
+        warm = run_pipeline(make_config(corpus_dir, out))
+        stats = run_stats(out)
+        assert (stats["ingest_cache"], stats["cache_corrupt"]) == ("corrupt", 1)
+        assert (warm.cache_hits, warm.cache_misses) == (cold.cache_misses, 0)
+        assert warm.manifest_path.read_bytes() == cold.manifest_path.read_bytes()
+        assert not list((out / "cache").glob("*.tmp"))
+        run_pipeline(make_config(corpus_dir, out))
+        assert (run_stats(out)["ingest_cache"], run_stats(out)["cache_corrupt"]) == ("hit", 0)
+
+    def test_cache_without_an_ingest_entry_hits_every_pair(self, corpus_dir, tmp_path):
+        # As a cache filled before the ingest entry existed.
+        out = tmp_path / "run"
+        cold = run_pipeline(make_config(corpus_dir, out))
+        (out / "cache" / "ingest.npz").unlink()
+        warm = run_pipeline(make_config(corpus_dir, out))
+        assert run_stats(out)["ingest_cache"] == "miss"
+        assert (warm.cache_hits, warm.cache_misses) == (cold.cache_misses, 0)
+        assert (out / "cache" / "ingest.npz").is_file()

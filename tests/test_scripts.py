@@ -71,9 +71,9 @@ def synth_corpus(tmp_path_factory):
     return out / "papers.jsonl", out / "mentorships.jsonl"
 
 
-def test_benchmark_trace(synth_corpus, tmp_path):
+def traced_run(synth_corpus, spans_path, out):
+    """The spans of one `benchmark/trace.py` run into `out`."""
     papers, mentorships = synth_corpus
-    spans_path = tmp_path / "SPANS"
     proc = run_script(
         "trace.py",
         str(spans_path),
@@ -83,26 +83,45 @@ def test_benchmark_trace(synth_corpus, tmp_path):
         "--mentorships",
         str(mentorships),
         "--out",
-        str(tmp_path / "out"),
+        str(out),
         "--workers",
         "1",
         folder="benchmark",
     )
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(spans_path.read_text())["spans"]
+    return json.loads(spans_path.read_text())["spans"]
+
+
+def in_window_papers(papers):
+    """The papers count the trace reads off the index, recounted from the JSONL."""
+    config = PipelineConfig()
+    with open(papers, encoding="utf-8") as fh:
+        years = [json.loads(line)["pub_year"] for line in fh]
+    return sum(config.year_min <= y <= config.year_max for y in years)
+
+
+def test_benchmark_trace(synth_corpus, tmp_path):
+    spans = traced_run(synth_corpus, tmp_path / "SPANS", tmp_path / "out")
     names = Counter(span["name"] for span in spans)
     assert set(names) == RUN_LAYERS | PER_PAIR_LAYERS
     assert names["profiles.pair"] == N_PAIRS
     for layer in PER_PAIR_LAYERS:
         assert names[layer] >= N_PAIRS, layer
 
-    # The papers count is read off the index; recount it from the JSONL.
-    config = PipelineConfig()
-    with open(papers, encoding="utf-8") as fh:
-        years = [json.loads(line)["pub_year"] for line in fh]
-    in_window = sum(config.year_min <= y <= config.year_max for y in years)
     (ingest,) = [span for span in spans if span["name"] == "corpus.ingest"]
-    assert ingest["counts"]["papers"] == in_window
+    assert ingest["counts"]["papers"] == in_window_papers(synth_corpus[0])
+
+
+def test_benchmark_trace_of_a_warm_run(synth_corpus, tmp_path):
+    # A warm run still calls every run-level layer, ingest included, and
+    # its index counts the same papers.
+    traced_run(synth_corpus, tmp_path / "SPANS.cold", tmp_path / "out")
+    spans = traced_run(synth_corpus, tmp_path / "SPANS.warm", tmp_path / "out")
+    assert {span["name"] for span in spans} == RUN_LAYERS
+    (ingest,) = [span for span in spans if span["name"] == "corpus.ingest"]
+    assert ingest["counts"]["papers"] == in_window_papers(synth_corpus[0])
+    stats = json.loads((tmp_path / "out" / "run_stats.json").read_text())
+    assert (stats["ingest_cache"], stats["cache_hits"], stats["cache_misses"]) == ("hit", N_PAIRS, 0)
 
 
 def test_benchmark_output_checks():
