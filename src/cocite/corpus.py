@@ -7,26 +7,25 @@ validates every line, applies the year window / field filter, and streams
 each kept paper straight into a CitationIndex that all downstream analyses
 share read-only: who cites each paper, who wrote it, when, and which papers
 each author wrote. The minimum-paper eligibility rule for mentorship pairs
-is then checked against that index. An IngestCache keeps the whole result
-of one ingest in a single file, so a rerun over the same corpus and
-settings can load it instead of parsing the corpus again.
+is then checked against that index.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import zipfile
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from .errors import DuplicatePaperId, EmptyCorpus, MalformedRecord
+
+if TYPE_CHECKING:
+    from .pipeline import IngestCache
 
 # Hard validity bounds for any year value; records outside raise MalformedRecord.
 # The (narrower) ingest window in IngestConfig drops records silently and counts
@@ -251,122 +250,6 @@ class IngestResult:
     mentorships: list[MentorshipRecord]
     # Events observed during ingestion, counted by (stage, reason).
     report: Counter[tuple[str, str]]
-
-
-# The Rows of an index, each with the id lists that count its rows and
-# number its values.
-_INDEX_ROWS = (
-    ("cited_by", "paper_ids", "paper_ids"),
-    ("author_papers", "author_ids", "paper_ids"),
-    ("paper_authors", "paper_ids", "author_ids"),
-)
-_ID_LISTS = ("paper_ids", "author_ids")
-# Every member of a cache entry, with its dtype as CitationIndex builds it.
-# An id list is one UTF-8 text and the length of each id in characters; the
-# key, mentorships and report are one JSON text.
-_ENTRY_DTYPES = {
-    "pub_year": np.dtype(np.int16),
-    **{f"{rows}.indptr": np.dtype(np.int64) for rows, _, _ in _INDEX_ROWS},
-    **{f"{rows}.indices": np.dtype(np.int32) for rows, _, _ in _INDEX_ROWS},
-    **{f"{ids}.text": np.dtype(np.uint8) for ids in _ID_LISTS},
-    **{f"{ids}.lengths": np.dtype(np.int64) for ids in _ID_LISTS},
-    "meta": np.dtype(np.uint8),
-}
-
-
-def _check_entry(cond: bool) -> None:
-    if not cond:
-        raise ValueError("not an ingest cache entry")
-
-
-def _pack_ids(ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    # surrogatepass lets a lone surrogate, which a JSON string may hold, through.
-    text = "".join(ids).encode("utf-8", "surrogatepass")
-    return np.frombuffer(text, dtype=np.uint8), np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-
-
-def _unpack_ids(text: np.ndarray, lengths: np.ndarray) -> list[str]:
-    chars = text.tobytes().decode("utf-8", "surrogatepass")
-    ends = np.cumsum(lengths).tolist()
-    _check_entry(bool((lengths >= 0).all()) and (ends[-1] if ends else 0) == len(chars))
-    return [chars[a:b] for a, b in zip([0, *ends], ends)]
-
-
-def _unpack_rows(members: dict[str, np.ndarray], name: str, n_rows: int, n_values: int) -> Rows:
-    indptr, indices = members[f"{name}.indptr"], members[f"{name}.indices"]
-    _check_entry(len(indptr) == n_rows + 1 and indptr[0] == 0 and indptr[-1] == len(indices))
-    _check_entry(bool((np.diff(indptr) >= 0).all()))
-    _check_entry(not len(indices) or (indices.min() >= 0 and indices.max() < n_values))
-    return Rows(indptr, indices)
-
-
-@dataclass
-class IngestCache:
-    """One file holding the whole result of the ingest that `key` names.
-
-    `load` serves the file only if it holds an entry stored under `key`, and
-    `store` replaces it atomically, so the slot keeps one ingest at a time.
-    After a `load`, `status` is "hit", "miss" (no file, or another key) or
-    "corrupt" (a file this code did not write, or damaged; it is parsed
-    again and overwritten like a miss).
-    """
-
-    path: Path
-    key: str
-    status: str = "miss"
-
-    def load(self) -> IngestResult | None:
-        try:
-            with np.load(self.path, allow_pickle=False) as entry:
-                result = self._read(entry)
-        except FileNotFoundError:
-            result, self.status = None, "miss"
-        except (OSError, ValueError, LookupError, TypeError, EOFError, zipfile.BadZipFile):
-            result, self.status = None, "corrupt"
-        return result
-
-    def _read(self, entry: np.lib.npyio.NpzFile) -> IngestResult | None:
-        _check_entry(sorted(entry.files) == sorted(_ENTRY_DTYPES))
-        members = {name: entry[name] for name in _ENTRY_DTYPES}
-        for name, dtype in _ENTRY_DTYPES.items():
-            _check_entry(members[name].dtype == dtype and members[name].ndim == 1)
-        meta = json.loads(members["meta"].tobytes())
-        if meta["key"] != self.key:
-            self.status = "miss"
-            return None
-        ids = {name: _unpack_ids(members[f"{name}.text"], members[f"{name}.lengths"]) for name in _ID_LISTS}
-        _check_entry(len(members["pub_year"]) == len(ids["paper_ids"]))
-        rows = {
-            name: _unpack_rows(members, name, len(ids[counted]), len(ids[numbered]))
-            for name, counted, numbered in _INDEX_ROWS
-        }
-        index = CitationIndex.from_arrays(ids["paper_ids"], ids["author_ids"], members["pub_year"], **rows)
-        mentorships = [MentorshipRecord(*m) for m in meta["mentorships"]]
-        report = Counter({(stage, reason): n for stage, reason, n in meta["report"]})
-        self.status = "hit"
-        return IngestResult(index, mentorships, report)
-
-    def store(self, result: IngestResult) -> None:
-        index = result.index
-        members = {"pub_year": index.pub_year}
-        for name, _, _ in _INDEX_ROWS:
-            rows = getattr(index, name)
-            members[f"{name}.indptr"], members[f"{name}.indices"] = rows.indptr, rows.indices
-        for name in _ID_LISTS:
-            members[f"{name}.text"], members[f"{name}.lengths"] = _pack_ids(getattr(index, name))
-        meta = {
-            "key": self.key,
-            "mentorships": [astuple(m) for m in result.mentorships],
-            "report": [[*key, n] for key, n in result.report.items()],
-        }
-        # ensure_ascii escapes any surrogate, so the text encodes as ASCII.
-        members["meta"] = np.frombuffer(json.dumps(meta).encode("ascii"), dtype=np.uint8)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-        # A file object, since np.savez would append ".npz" to a path.
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **members)
-        os.replace(tmp, self.path)
 
 
 def _require(cond: bool, line_no: int, reason: str) -> None:

@@ -10,7 +10,6 @@ source papers of each edge are listed only on request, for audit output.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable
@@ -142,18 +141,13 @@ def edge_sources(
 
     ``exclude_self_cocitation`` must be the setting the graph was built with.
     """
-    node_set = set(graph.nodes)
-    cited_nodes_by_citer: dict[int, list[int]] = defaultdict(list)
-    for node in graph.nodes:
-        for citer in index.cited_by[node].tolist():
-            cited_nodes_by_citer[citer].append(node)
-
-    sources: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for citer in sorted(cited_nodes_by_citer):
-        if exclude_self_cocitation and citer in node_set:
-            continue
-        cited = sorted(set(cited_nodes_by_citer[citer]))
-        for i, u in enumerate(cited):
-            for v in cited[i + 1:]:
-                sources[(u, v)].append(citer)
-    return {e: tuple(cs) for e, cs in sorted(sources.items())}
+    nodes = np.array(graph.nodes)
+    sources = {}
+    for u in graph.nodes:
+        for v in graph.adjacency[u]:
+            if u < v:
+                common = np.intersect1d(index.cited_by[u], index.cited_by[v], assume_unique=True)
+                if exclude_self_cocitation:
+                    common = common[~np.isin(common, nodes)]
+                sources[u, v] = tuple(common.tolist())
+    return sources

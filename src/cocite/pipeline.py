@@ -1,5 +1,7 @@
 """Cohort pipeline: ingest, per-pair profiles with caching, cohort
-statistics, and a deterministic report bundle.
+statistics, and a deterministic report bundle. The module owns
+`<out>/cache`: the keys of the ingest and pair entries, and how each is
+written, read and pruned.
 
 Every output file is byte-stable for a given corpus and configuration:
 rows are fully sorted, floats are written with repr, and nothing volatile
@@ -18,18 +20,19 @@ import multiprocessing
 import os
 import resource
 import time
+import zipfile
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
 from types import NoneType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .career import cohort_average_series
-from .corpus import CitationIndex, IngestCache, IngestConfig, MentorshipRecord, ingest_corpus
+from .corpus import CitationIndex, IngestConfig, IngestResult, MentorshipRecord, Rows, ingest_corpus
 from .errors import CociteError, InvalidConfig
 from .profiles import (
     MENTEE_TYPES,
@@ -218,7 +221,7 @@ def file_digest(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# per-pair stage with caching
+# the cache under <out>/cache, and the per-pair stage
 
 
 def corpus_digest(papers_path: str | Path, mentorships_path: str | Path) -> str:
@@ -256,6 +259,166 @@ def pair_cache_key(corpus_hash: str, mentorship: MentorshipRecord, config: Pipel
     )
 
 
+# A cache entry whose read raises one of these is damaged: it is counted
+# as corrupt and recomputed like a miss. A missing file is a plain miss.
+_DAMAGED = (OSError, ValueError, LookupError, TypeError, AttributeError, EOFError, zipfile.BadZipFile)
+
+_Entry = TypeVar("_Entry")
+
+
+def _load_entry(path: Path, read: Callable[[Path], _Entry | None]) -> tuple[_Entry | None, str]:
+    """`read(path)` and the status of the lookup: "hit", "miss" (no file, or
+    `read` found another key's entry and returned None) or "corrupt"."""
+    try:
+        entry = read(path)
+    except FileNotFoundError:
+        return None, "miss"
+    except _DAMAGED:
+        return None, "corrupt"
+    return entry, "miss" if entry is None else "hit"
+
+
+def _store_entry(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write an entry to a temporary file renamed into place, so no reader
+    sees a partial entry; `PairCache.prune` removes what a cut write leaves."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "wb") as fh:
+        write(fh)
+    os.replace(tmp, path)
+
+
+# The Rows of an index, each with the id lists that count its rows and
+# number its values.
+_INDEX_ROWS = (
+    ("cited_by", "paper_ids", "paper_ids"),
+    ("author_papers", "author_ids", "paper_ids"),
+    ("paper_authors", "paper_ids", "author_ids"),
+)
+_ID_LISTS = ("paper_ids", "author_ids")
+# Every member of an ingest entry, with its dtype as CitationIndex builds
+# it. Each id list is a JSON array, and `meta` (the key, mentorships and
+# report) a JSON object, as ASCII text.
+_ENTRY_DTYPES = {
+    "pub_year": np.dtype(np.int16),
+    **{f"{rows}.indptr": np.dtype(np.int64) for rows, _, _ in _INDEX_ROWS},
+    **{f"{rows}.indices": np.dtype(np.int32) for rows, _, _ in _INDEX_ROWS},
+    **{name: np.dtype(np.uint8) for name in (*_ID_LISTS, "meta")},
+}
+
+
+def _check_entry(cond: bool) -> None:
+    if not cond:
+        raise ValueError("not an ingest cache entry")
+
+
+def _unpack_rows(members: dict[str, np.ndarray], name: str, n_rows: int, n_values: int) -> Rows:
+    indptr, indices = members[f"{name}.indptr"], members[f"{name}.indices"]
+    _check_entry(len(indptr) == n_rows + 1 and indptr[0] == 0 and indptr[-1] == len(indices))
+    _check_entry(bool((np.diff(indptr) >= 0).all()))
+    _check_entry(not len(indices) or (indices.min() >= 0 and indices.max() < n_values))
+    return Rows(indptr, indices)
+
+
+@dataclass
+class IngestCache:
+    """One file holding the whole result of the ingest that `key` names.
+
+    `load` serves the file only if it holds an entry stored under `key`, and
+    `store` replaces it, so the slot keeps one ingest at a time. After a
+    `load`, `status` is "hit", "miss" (no file, or another key) or "corrupt"
+    (a file this code did not write, or damaged; it is parsed again and
+    overwritten like a miss).
+    """
+
+    path: Path
+    key: str
+    status: str = "miss"
+
+    def load(self) -> IngestResult | None:
+        result, self.status = _load_entry(self.path, self._read)
+        return result
+
+    def _read(self, path: Path) -> IngestResult | None:
+        with np.load(path, allow_pickle=False) as entry:
+            _check_entry(sorted(entry.files) == sorted(_ENTRY_DTYPES))
+            members = {name: entry[name] for name in _ENTRY_DTYPES}
+        for name, dtype in _ENTRY_DTYPES.items():
+            _check_entry(members[name].dtype == dtype and members[name].ndim == 1)
+        meta = json.loads(members["meta"].tobytes())
+        if meta["key"] != self.key:
+            return None
+        ids = {name: json.loads(members[name].tobytes()) for name in _ID_LISTS}
+        _check_entry(all(type(i) is list and set(map(type, i)) <= {str} for i in ids.values()))
+        _check_entry(len(members["pub_year"]) == len(ids["paper_ids"]))
+        rows = {
+            name: _unpack_rows(members, name, len(ids[counted]), len(ids[numbered]))
+            for name, counted, numbered in _INDEX_ROWS
+        }
+        index = CitationIndex.from_arrays(ids["paper_ids"], ids["author_ids"], members["pub_year"], **rows)
+        mentorships = [MentorshipRecord(*m) for m in meta["mentorships"]]
+        report = Counter({(stage, reason): n for stage, reason, n in meta["report"]})
+        return IngestResult(index, mentorships, report)
+
+    def store(self, result: IngestResult) -> None:
+        index = result.index
+        members = {"pub_year": index.pub_year}
+        for name, _, _ in _INDEX_ROWS:
+            rows = getattr(index, name)
+            members[f"{name}.indptr"], members[f"{name}.indices"] = rows.indptr, rows.indices
+        texts = {name: getattr(index, name) for name in _ID_LISTS}
+        texts["meta"] = {
+            "key": self.key,
+            "mentorships": [astuple(m) for m in result.mentorships],
+            "report": [[*key, n] for key, n in result.report.items()],
+        }
+        for name, value in texts.items():
+            # ensure_ascii escapes any surrogate, so the text encodes as ASCII.
+            members[name] = np.frombuffer(json.dumps(value).encode("ascii"), dtype=np.uint8)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        # A file object, since np.savez would append ".npz" to a path.
+        _store_entry(self.path, lambda fh: np.savez(fh, **members))
+
+
+class PairCache:
+    """One JSON file per pair profile under `cache_dir`.
+
+    An entry that does not decode is counted as corrupt and treated as a
+    miss. `prune` keeps only the entries of the pairs looked up since the
+    cache opened.
+    """
+
+    def __init__(self, cache_dir: Path, corpus_hash: str, config: PipelineConfig):
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        self.dir = cache_dir
+        self.corpus_hash = corpus_hash
+        self.config = config
+        self.corrupt = 0
+        self.live: set[str] = set()
+
+    def _path(self, mentorship: MentorshipRecord) -> Path:
+        return self.dir / f"{pair_cache_key(self.corpus_hash, mentorship, self.config)}.json"
+
+    def load(self, mentorship: MentorshipRecord) -> PairProfile | None:
+        path = self._path(mentorship)
+        self.live.add(path.name)
+        profile, status = _load_entry(
+            path, lambda p: PairProfile.from_dict(json.loads(p.read_text(encoding="utf-8")))
+        )
+        self.corrupt += status == "corrupt"
+        return profile
+
+    def store(self, mentorship: MentorshipRecord, profile: PairProfile) -> None:
+        blob = json.dumps(profile.to_dict(), sort_keys=True).encode("utf-8")
+        _store_entry(self._path(mentorship), lambda fh: fh.write(blob))
+
+    def prune(self) -> None:
+        """Delete stale entries, written under other settings or for other
+        pairs, and temporary files left by an interrupted write."""
+        for path in self.dir.iterdir():
+            if path.suffix == ".tmp" or (path.suffix == ".json" and path.name not in self.live):
+                path.unlink()
+
+
 Failure = tuple[str, str, str, str]  # mentor_id, mentee_id, stage, reason
 
 
@@ -281,51 +444,6 @@ def _init_worker(index: CitationIndex, params: PairParams) -> None:
 
 def _worker_pair_result(mentorship: MentorshipRecord) -> PairProfile | Failure:
     return _pair_result(mentorship, *_WORKER_ARGS)
-
-
-class PairCache:
-    """One JSON file per pair profile under `cache_dir`.
-
-    Entries are written to a temporary file and renamed into place, so a
-    reader never sees a partial entry from this program; an entry that does
-    not decode anyway is counted as corrupt and treated as a miss. `prune`
-    keeps only the entries of the pairs looked up since the cache opened.
-    """
-
-    def __init__(self, cache_dir: Path, corpus_hash: str, config: PipelineConfig):
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        self.dir = cache_dir
-        self.corpus_hash = corpus_hash
-        self.config = config
-        self.corrupt = 0
-        self.live: set[str] = set()
-
-    def _path(self, mentorship: MentorshipRecord) -> Path:
-        return self.dir / f"{pair_cache_key(self.corpus_hash, mentorship, self.config)}.json"
-
-    def load(self, mentorship: MentorshipRecord) -> PairProfile | None:
-        path = self._path(mentorship)
-        self.live.add(path.name)
-        if not path.exists():
-            return None
-        try:
-            return PairProfile.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except (ValueError, LookupError, TypeError, AttributeError):
-            self.corrupt += 1
-            return None
-
-    def store(self, mentorship: MentorshipRecord, profile: PairProfile) -> None:
-        path = self._path(mentorship)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(profile.to_dict(), sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
-
-    def prune(self) -> None:
-        """Delete stale entries, written under other settings or for other
-        pairs, and temporary files left by an interrupted write."""
-        for path in self.dir.iterdir():
-            if path.suffix == ".tmp" or (path.suffix == ".json" and path.name not in self.live):
-                path.unlink()
 
 
 @dataclass

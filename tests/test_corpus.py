@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from cocite.corpus import (
     CitationIndex,
     CohortFlags,
-    IngestCache,
     IngestConfig,
     IngestResult,
     MentorshipRecord,
@@ -20,6 +19,7 @@ from cocite.corpus import (
     ingest_corpus,
 )
 from cocite.errors import DuplicatePaperId, EmptyCorpus, MalformedRecord
+from cocite.pipeline import IngestCache
 
 from helpers import dict_index, index_as_dicts, make_index, paper
 

@@ -18,6 +18,7 @@ import cocite.pipeline
 import cocite.profiles
 from cocite.errors import InvalidConfig, NoFinitePaths
 from cocite.pipeline import (
+    IngestCache,
     PipelineConfig,
     apply_config_values,
     assign_elites,
@@ -31,7 +32,7 @@ from cocite.pipeline import (
     run_pipeline,
     write_csv,
 )
-from cocite.corpus import IngestCache, MentorshipRecord, ingest_corpus
+from cocite.corpus import MentorshipRecord, ingest_corpus
 from cocite.synth import SynthConfig, synthesize_corpus, write_corpus
 
 
@@ -699,6 +700,14 @@ def edit_entry(edit):
     return damage
 
 
+def json_member(array):
+    return json.loads(array.tobytes())
+
+
+def as_member(value):
+    return np.frombuffer(json.dumps(value).encode("ascii"), dtype=np.uint8)
+
+
 def flip_middle_byte(path):
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0xFF
@@ -715,9 +724,10 @@ ENTRY_DAMAGE = {
     "wrong_dtype": edit_entry(lambda m: m.update(pub_year=m["pub_year"].astype(np.int32))),
     "indptr_end": edit_entry(lambda m: m["cited_by.indptr"].__setitem__(-1, len(m["cited_by.indices"]) + 1)),
     "index_out_of_range": edit_entry(
-        lambda m: m["paper_authors.indices"].__setitem__(0, len(m["author_ids.lengths"]))
+        lambda m: m["paper_authors.indices"].__setitem__(0, len(json_member(m["author_ids"])))
     ),
-    "id_lengths": edit_entry(lambda m: m["paper_ids.lengths"].__setitem__(0, 10**6)),
+    "id_count": edit_entry(lambda m: m.update(paper_ids=as_member(json_member(m["paper_ids"])[:-1]))),
+    "id_type": edit_entry(lambda m: m.update(paper_ids=as_member([1, *json_member(m["paper_ids"])[1:]]))),
 }
 
 
@@ -772,6 +782,19 @@ class TestIngestCache:
         assert not list((out / "cache").glob("*.tmp"))
         run_pipeline(make_config(corpus_dir, out))
         assert (run_stats(out)["ingest_cache"], run_stats(out)["cache_corrupt"]) == ("hit", 0)
+
+    def test_damaged_pair_and_ingest_entries_count_once_each(self, corpus_dir, tmp_path):
+        out = tmp_path / "run"
+        cold = run_pipeline(make_config(corpus_dir, out))
+        pair_entry = sorted((out / "cache").glob("*.json"))[0]
+        pair_entry.write_bytes(pair_entry.read_bytes()[:100])
+        flip_middle_byte(out / "cache" / "ingest.npz")
+
+        warm = run_pipeline(make_config(corpus_dir, out))
+        stats = run_stats(out)
+        assert (stats["ingest_cache"], stats["cache_corrupt"]) == ("corrupt", 2)
+        assert (warm.cache_hits, warm.cache_misses) == (cold.cache_misses - 1, 1)
+        assert warm.manifest_path.read_bytes() == cold.manifest_path.read_bytes()
 
     def test_cache_without_an_ingest_entry_hits_every_pair(self, corpus_dir, tmp_path):
         # As a cache filled before the ingest entry existed.
