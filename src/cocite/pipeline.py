@@ -805,6 +805,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         "ingest_cache": ingest_cache.status,
         "stages_s": dict(zip(RUN_STAGES, np.diff(ends).tolist())),
         "distance_substituted": sum(p.distance_substituted for p in stage.profiles),
+        "zero_impact": sum(p.zero_impact for p in stage.profiles),
+        "degenerate_median": sum(p.degenerate_median for p in stage.profiles),
         "empty_outputs": empty_outputs,
         "workers": config.workers,
         "peak_rss_mb": {

@@ -376,6 +376,8 @@ class TestRunPipeline:
             "ingest_cache",
             "stages_s",
             "distance_substituted",
+            "zero_impact",
+            "degenerate_median",
             "empty_outputs",
             "workers",
             "peak_rss_mb",
@@ -387,9 +389,8 @@ class TestRunPipeline:
         assert stats["peak_rss_mb"]["self"] > 0
         with (result.out_dir / "profiles.csv").open(newline="") as f:
             rows = list(csv.DictReader(f))
-        assert stats["distance_substituted"] == sum(
-            row["distance_substituted"] == "true" for row in rows
-        )
+        for count in ("distance_substituted", "zero_impact", "degenerate_median"):
+            assert stats[count] == sum(row[count] == "true" for row in rows), count
 
     def test_truncated_cache_entry_is_recomputed(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
@@ -649,7 +650,7 @@ import json, sys
 from pathlib import Path
 
 import cocite
-from cocite.pipeline import PipelineConfig, build_profiles, corpus_digest
+from cocite.pipeline import PipelineConfig, assign_elites, build_profiles, cohort_outputs, corpus_digest
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -660,16 +661,22 @@ ingested = cocite.ingest_corpus(papers, mentorships, config.ingest_config())
 after_ingest = scipy_modules()
 digest = corpus_digest(papers, mentorships)
 stage = build_profiles(ingested.index, ingested.mentorships, config, digest, Path(out) / "cache")
-print(json.dumps([after_ingest, scipy_modules(), stage.cache_misses, len(stage.profiles)]))
+after_stage = scipy_modules()
+assign_elites(stage.profiles, config)
+_, empty = cohort_outputs(stage.profiles, config, Path(out))
+print(json.dumps([after_ingest, after_stage, stage.cache_misses, len(stage.profiles), scipy_modules(), sorted(empty)]))
 """
         proc = subprocess.run(
             [sys.executable, "-c", script, config.papers, config.mentorships, config.out],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        after_ingest, after_stage, misses, n_profiles = json.loads(proc.stdout)
+        after_ingest, after_stage, misses, n_profiles, after_cohort, empty = json.loads(proc.stdout)
         assert (after_ingest, after_stage, misses) == ([], [], 0)
         assert n_profiles > 0
+        # The quadratic fit, and so its p-value, is computed.
+        assert after_cohort == []
+        assert "fit.csv" not in empty
 
     @pytest.mark.parametrize("min_community_size", [10, 10_000])
     def test_pool_run_matches_serial(self, corpus_dir, tmp_path, min_community_size):

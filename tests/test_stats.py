@@ -27,6 +27,7 @@ from cocite.stats import (
     fit_quadratic,
     quadrant_counts,
     quadrant_of,
+    t_two_sided_p,
     ternary_shares,
 )
 from cocite.synth import planted_regression_cohort
@@ -161,27 +162,61 @@ class TestOls:
             fit_ols({"x": [1.0, 2.0, 3.0]}, [5.0, 5.0, 5.0])
 
 
-class TestLazyScipy:
-    """fit_ols takes p-values from scipy.special.stdtr, imported on first
-    use, in place of scipy.stats.t.sf, which costs far more to import."""
+def mp_two_sided_p(t, df):
+    """I_x(df/2, 1/2) at x = df / (df + t^2), to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+        return mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True)
 
-    def test_p_values_match_t_sf_bit_for_bit(self):
+
+def assert_close_to_mp(p, t, df):
+    """Within 1e-12 relative where the exact p is at least 1e-300; below
+    that, 0 or within 1e-300 absolute."""
+    exact = mp_two_sided_p(t, df)
+    if exact >= 1e-300:
+        assert abs((p - exact) / exact) <= 1e-12, (t, df, p, float(exact))
+    else:
+        assert p == 0.0 or abs(p - exact) <= 1e-300, (t, df, p, float(exact))
+
+
+class TestStudentTTail:
+    """fit_ols's p-values come from t_two_sided_p, written with math only."""
+
+    def test_fit_ols_p_values_match_two_oracles(self):
         from scipy.stats import t as t_dist
 
         rng = np.random.default_rng(7)
         x = rng.normal(size=40)
         z = rng.normal(size=40)
         res = fit_ols({"x": x, "z": z}, 0.5 + 0.3 * x - 0.01 * z + rng.normal(size=40))
-        expected = 2.0 * t_dist.sf(np.abs(np.array(res.t)), res.df)
-        assert np.array(res.p).tobytes() == expected.tobytes()
+        scipy_p = 2.0 * t_dist.sf(np.abs(np.array(res.t)), res.df)
+        np.testing.assert_allclose(res.p, scipy_p, rtol=1e-12, atol=0)
+        for p, t in zip(res.p, res.t):
+            assert_close_to_mp(p, t, res.df)
 
-    def test_stdtr_matches_t_sf_on_edge_values(self):
-        from scipy.special import stdtr
-        from scipy.stats import t as t_dist
+    @pytest.mark.parametrize("df", [1, 3, 10**6])
+    def test_edge_values(self, df):
+        for t in (0.0, 1e-300, 0.5, 2.0, 40.0, 1e300):
+            for signed in (t, -t):
+                assert_close_to_mp(t_two_sided_p(signed, df), t, df)
+        assert t_two_sided_p(0.0, df) == 1.0
+        assert t_two_sided_p(math.inf, df) == t_two_sided_p(-math.inf, df) == 0.0
+        assert math.isnan(t_two_sided_p(math.nan, df))
 
-        x = np.array([0.0, 1e-300, 0.5, 2.0, 40.0, np.inf, np.nan, 1e300])
-        for df in (0, 0.5, 1, 3, 1e6, -1):
-            assert (2.0 * stdtr(df, -x)).tobytes() == (2.0 * t_dist.sf(x, df)).tobytes(), df
+    @settings(max_examples=200, deadline=None)
+    @given(
+        df=st.integers(min_value=1, max_value=10**4),
+        t=st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+        negative=st.booleans(),
+    )
+    def test_matches_mpmath_betainc(self, df, t, negative):
+        assert_close_to_mp(t_two_sided_p(-t if negative else t, df), t, df)
+
+
+class TestLazyScipy:
+    """Importing cocite loads no SciPy; the kernels that use it import it
+    on first use."""
 
     def test_import_loads_no_scipy(self):
         code = (
