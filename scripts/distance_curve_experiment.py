@@ -26,10 +26,10 @@ def main() -> None:
 
     print(f"cohort: n={args.n} seed={args.seed} planted peak={truth['peak']}")
     print("\nmodel ladder (R^2):")
-    for name, fit in ladder.models:
+    for name, fit in ladder:
         print(f"  {name:12s} r2={fit.r2:.4f} adj_r2={fit.adj_r2:.4f} n={fit.n}")
 
-    full = dict(ladder.models)["m6_full"]
+    full = dict(ladder)["m6_full"]
     print("\nfull model coefficients (planted value in brackets):")
     for name in full.names:
         beta, se, _, p = full.coef(name)

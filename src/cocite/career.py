@@ -30,10 +30,6 @@ class CareerSeries:
     def career_len(self) -> int:
         return len(self.yearly) - 1
 
-    @property
-    def total(self) -> float:
-        return self.cumulative[-1]
-
 
 def build_career_series(
     contributions: Iterable[tuple[int, float]],

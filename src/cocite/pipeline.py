@@ -13,6 +13,7 @@ go to run_stats.json, which the manifest does not cover.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -232,23 +233,35 @@ def corpus_digest(papers_path: str | Path, mentorships_path: str | Path) -> str:
     return h.hexdigest()
 
 
+@functools.cache
+def code_digest() -> str:
+    """sha256 over this package's own sources, file by file in name order,
+    so that a cache entry written by other code is never served."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        h.update(f"{path.name}\0{len(source)}\0".encode("utf-8"))
+        h.update(source)
+    return h.hexdigest()
+
+
 def _cache_key(corpus_hash: str, settings: dict[str, object], **pair: str) -> str:
     """The key of a cache entry decided by the corpus, these settings, the
-    code version and, for a pair's entry, the pair."""
+    code and, for a pair's entry, the pair."""
     blob = json.dumps(
-        {"corpus": corpus_hash, "settings": settings, "version": __version__, **pair}, sort_keys=True
+        {"corpus": corpus_hash, "settings": settings, "code": code_digest(), **pair}, sort_keys=True
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def ingest_cache_key(corpus_hash: str, config: PipelineConfig) -> str:
-    """Covers the ingest settings and the code version, so the ingest entry
+    """Covers the ingest settings and the code, so the ingest entry
     is served only where a recompute would give the same result."""
     return _cache_key(corpus_hash, asdict(config.ingest_config()))
 
 
 def pair_cache_key(corpus_hash: str, mentorship: MentorshipRecord, config: PipelineConfig) -> str:
-    """Covers every ingest and per-pair setting and the code version, so an
+    """Covers every ingest and per-pair setting and the code, so an
     entry is served only where a recompute would give the same profile; the
     cohort-only settings do not decide a profile and stay out."""
     return _cache_key(
@@ -339,7 +352,8 @@ class IngestCache:
         return result
 
     def _read(self, path: Path) -> IngestResult | None:
-        with np.load(path, allow_pickle=False) as entry:
+        # Our own handle: np.load leaves its own open when zipfile rejects the file.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as entry:
             _check_entry(sorted(entry.files) == sorted(_ENTRY_DTYPES))
             members = {name: entry[name] for name in _ENTRY_DTYPES}
         for name, dtype in _ENTRY_DTYPES.items():
@@ -635,10 +649,9 @@ def cohort_outputs(
         return [(i, *row) for i, row in enumerate(zip(curve.mean_x, curve.mean_y, curve.counts))]
 
     def regression_rows() -> list[Sequence[object]]:
-        ladder = fit_model_ladder(table, log1p_outcome=config.log1p_outcome)
         return [
             (model, name, res.beta[i], res.se[i], res.t[i], res.p[i], res.r2, res.adj_r2, res.n, res.df)
-            for model, res in ladder.models
+            for model, res in fit_model_ladder(table, log1p_outcome=config.log1p_outcome)
             for i, name in enumerate(res.names)
         ]
 

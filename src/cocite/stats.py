@@ -282,59 +282,20 @@ def fit_ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> OlsRe
 # ---------------------------------------------------------------------------
 # model ladder
 
+# Each model adds its columns to those of the model it extends: the
+# distance terms, then career, mentor, co-authorship (total, or split into
+# the first five years and later) and shared collaborators.
+_M1 = ("ave_distance", "ave_distance_sq")
+_M2 = (*_M1, "career_len_mte", "mte_work_count_first_5y")
+_M3 = (*_M2, "topic_num_mto", "mto_citation_impact")
+_M5 = (*_M3, "colla_work_count_first_5y", "colla_work_count_later")
 MODEL_LADDER: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("m1_distance", ("ave_distance", "ave_distance_sq")),
-    ("m2_career", ("ave_distance", "ave_distance_sq", "career_len_mte", "mte_work_count_first_5y")),
-    (
-        "m3_mentor",
-        (
-            "ave_distance",
-            "ave_distance_sq",
-            "career_len_mte",
-            "mte_work_count_first_5y",
-            "topic_num_mto",
-            "mto_citation_impact",
-        ),
-    ),
-    (
-        "m4_collab",
-        (
-            "ave_distance",
-            "ave_distance_sq",
-            "career_len_mte",
-            "mte_work_count_first_5y",
-            "topic_num_mto",
-            "mto_citation_impact",
-            "colla_work_count",
-        ),
-    ),
-    (
-        "m5_collab_split",
-        (
-            "ave_distance",
-            "ave_distance_sq",
-            "career_len_mte",
-            "mte_work_count_first_5y",
-            "topic_num_mto",
-            "mto_citation_impact",
-            "colla_work_count_first_5y",
-            "colla_work_count_later",
-        ),
-    ),
-    (
-        "m6_full",
-        (
-            "ave_distance",
-            "ave_distance_sq",
-            "career_len_mte",
-            "mte_work_count_first_5y",
-            "topic_num_mto",
-            "mto_citation_impact",
-            "colla_work_count_first_5y",
-            "colla_work_count_later",
-            "common_collaborators_count",
-        ),
-    ),
+    ("m1_distance", _M1),
+    ("m2_career", _M2),
+    ("m3_mentor", _M3),
+    ("m4_collab", (*_M3, "colla_work_count")),
+    ("m5_collab_split", _M5),
+    ("m6_full", (*_M5, "common_collaborators_count")),
 )
 
 # The outcome every ladder model explains.
@@ -344,34 +305,22 @@ LADDER_OUTCOME = "mentee_total_impact"
 LADDER_COLUMNS: tuple[str, ...] = tuple(dict.fromkeys(c for _, cols in MODEL_LADDER for c in cols))
 
 
-@dataclass(frozen=True)
-class LadderResult:
-    models: tuple[tuple[str, OlsResult], ...]
-    n_rows: int
-    n_dropped: int
-
-
 def fit_model_ladder(
     table: Mapping[str, Sequence[float]], log1p_outcome: bool = False
-) -> LadderResult:
+) -> tuple[tuple[str, OlsResult], ...]:
     """Fit the whole model ladder on one shared complete-case row set of
-    `table`, which holds the outcome and every ladder column.
+    `table`, which holds the outcome and every ladder column, and return
+    each model's (name, fit).
 
     Rows with a non-finite value in the outcome or in any column used by
-    any ladder model are dropped once, up front.
+    any ladder model are dropped once, up front, so every fit has the same n.
     """
     needed = (LADDER_OUTCOME, *LADDER_COLUMNS)
     arrays = {c: np.asarray(table[c], dtype=float) for c in needed}
-    n_total = arrays[LADDER_OUTCOME].size
-    mask = np.ones(n_total, dtype=bool)
+    mask = np.ones(arrays[LADDER_OUTCOME].size, dtype=bool)
     for c in needed:
         mask &= np.isfinite(arrays[c])
-    n_rows = int(mask.sum())
     y = arrays[LADDER_OUTCOME][mask]
     if log1p_outcome:
         y = np.log1p(y)
-    models = []
-    for name, cols in MODEL_LADDER:
-        res = fit_ols({c: arrays[c][mask] for c in cols}, y)
-        models.append((name, res))
-    return LadderResult(models=tuple(models), n_rows=n_rows, n_dropped=n_total - n_rows)
+    return tuple((name, fit_ols({c: arrays[c][mask] for c in cols}, y)) for name, cols in MODEL_LADDER)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .corpus import MentorshipRecord, PaperRecord
 from .profiles import encode
+from .stats import LADDER_COLUMNS
 from .topics import Strategy
 
 # ---------------------------------------------------------------------------
@@ -302,8 +303,8 @@ def planted_regression_cohort(
     """Covariate table with a known quadratic outcome model.
 
     outcome = 1 + 4 d - d^2 + 0.5 career_len + noise, with noise variance
-    set to half the signal variance. The quadratic peak sits at d = 2. All
-    other covariates carry true zero coefficients.
+    set to half the signal variance. The quadratic peak sits at d = 2. Every
+    other ladder column carries a true zero coefficient.
     """
     rng = np.random.default_rng(seed)
     d = rng.uniform(0.5, 3.5, n)
@@ -332,16 +333,10 @@ def planted_regression_cohort(
     }
     truth = {
         "intercept": 1.0,
+        **dict.fromkeys(LADDER_COLUMNS, 0.0),
         "ave_distance": 4.0,
         "ave_distance_sq": -1.0,
         "career_len_mte": 0.5,
-        "mte_work_count_first_5y": 0.0,
-        "topic_num_mto": 0.0,
-        "mto_citation_impact": 0.0,
-        "colla_work_count": 0.0,
-        "colla_work_count_first_5y": 0.0,
-        "colla_work_count_later": 0.0,
-        "common_collaborators_count": 0.0,
         "peak": 2.0,
         "sigma": sigma,
     }

@@ -50,7 +50,6 @@ class TopicTyping:
     type_of: dict[int, TopicType]
     mentor_side: dict[int, TopicType]
     proportions: dict[int, float]
-    median_proportion: float | None
     degenerate_median: bool
 
 
@@ -89,7 +88,6 @@ def classify_topics(graph: PairGraph, assignment: TopicAssignment) -> TopicTypin
 
     proportions: dict[int, float] = {}
     mentor_side: dict[int, TopicType] = {}
-    median: float | None = None
     degenerate = False
     if mentor_topics:
         proportions = {j: counts[j][1] / mentor_paper_total for j in mentor_topics}
@@ -114,7 +112,6 @@ def classify_topics(graph: PairGraph, assignment: TopicAssignment) -> TopicTypin
         type_of=type_of,
         mentor_side=mentor_side,
         proportions=proportions,
-        median_proportion=median,
         degenerate_median=degenerate,
     )
 

@@ -205,9 +205,9 @@ def test_criterion_6_regression_recovers_planted_model(capsys):
         t0 = time.monotonic()
         table, truth = planted_regression_cohort(seed=42, n=2000)
         ladder = fit_model_ladder(table)
-        r2 = [res.r2 for _, res in ladder.models]
+        r2 = [res.r2 for _, res in ladder]
         assert all(a <= b + 1e-12 for a, b in zip(r2, r2[1:]))
-        full = dict(ladder.models)["m6_full"]
+        full = dict(ladder)["m6_full"]
         for name in full.names:
             beta, se, _, _ = full.coef(name)
             assert abs(beta - truth[name]) < 3 * se
@@ -260,8 +260,8 @@ def test_criterion_9_cohort_conservation(capsys, cli_bundle, tmp_path):
 
         for p in stage.profiles:
             # Career series land exactly on the allocated totals.
-            assert p.mentee_series.total == p.mentee_total_impact
-            assert p.mentor_series.total == p.mentor_total_impact
+            assert p.mentee_series.cumulative[-1] == p.mentee_total_impact
+            assert p.mentor_series.cumulative[-1] == p.mentor_total_impact
             if not p.zero_impact:
                 shares = ternary_shares(p.mentee_impact_by_type)
                 assert abs(math.fsum(shares) - 1.0) <= 1e-12

@@ -25,12 +25,12 @@ class TestSeries:
         assert s.yearly == (1.0, 0.0, 0.0, 2.5, 0.0, 0.0)
         assert s.cumulative == (1.0, 1.0, 1.0, 3.5, 3.5, 3.5)
         assert s.career_len == 5
-        assert s.total == 3.5
+        assert s.cumulative[-1] == 3.5
 
     def test_empty_contributions(self):
         s = build_career_series([], career_len=2)
         assert s.yearly == (0.0, 0.0, 0.0)
-        assert s.total == 0.0
+        assert s.cumulative[-1] == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -44,7 +44,7 @@ class TestSeries:
     )
     def test_final_cumulative_equals_flat_fsum(self, data):
         s = build_career_series(data, career_len=30)
-        assert s.total == math.fsum(share for _, share in data)
+        assert s.cumulative[-1] == math.fsum(share for _, share in data)
         # Cumulative never decreases for nonnegative contributions.
         assert all(a <= b for a, b in zip(s.cumulative, s.cumulative[1:]))
 
@@ -101,7 +101,7 @@ class TestTypedRows:
         index, allocation, typing = pair_fixture()
         rows = typed_contributions(allocation, typing, index, "mentee", 2000)
         series = build_career_series([(y, s) for y, s, _ in rows], career_len=12)
-        assert series.total == allocation.mentee_total
+        assert series.cumulative[-1] == allocation.mentee_total
 
 
 class TestDecadeRatios:

@@ -180,14 +180,16 @@ class TestCacheKeys:
         assert pair_cache_key(digest, m1, PipelineConfig(n_bins=10)) == k_base
         assert pair_cache_key(digest, m1, PipelineConfig(top_fraction=0.3, workers=2)) == k_base
 
-    def test_pair_key_is_pinned(self):
-        # A cache filled by an earlier version of the key code stays valid.
+    def test_pair_key_is_pinned(self, monkeypatch):
+        # With the code digest held fixed, the key is a fixed function of
+        # the corpus, the settings and the pair.
+        monkeypatch.setattr(cocite.pipeline, "code_digest", lambda: "0" * 64)
         m = MentorshipRecord("mto\u00e9", "mte0", None, "fieldA")
         assert pair_cache_key("0" * 64, m, PipelineConfig()) == (
-            "ff13d47fb07d1edf1c97cdd840a094cd69093094160eb15c54f7ec26deae2f4d"
+            "cda6b325288f2770a5541a7b5e017dae13b2ecb77e0d07daed2218ffd4ba66dd"
         )
         assert pair_cache_key("0" * 64, m, PipelineConfig(gamma=2.0, min_papers=5)) == (
-            "a816b185bb296ebea6ed4a31402b11ca1d1143130083563516aa55e4d6ceed54"
+            "a03dd40d60dfb29905f8c46a0ca46d58564475e404bd27c13024ec9360f0fc26"
         )
 
     def test_ingest_key_depends_on_corpus_and_ingest_settings_only(self):
@@ -760,6 +762,18 @@ class TestIngestCache:
         assert run_stats(out)["ingest_cache"] == "hit"
         assert (warm.cache_hits, warm.cache_misses) == (0, fresh.cache_misses)
         assert warm.manifest_path.read_bytes() == fresh.manifest_path.read_bytes()
+
+    def test_other_code_misses_every_entry_once(self, corpus_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cold = run_pipeline(make_config(corpus_dir, out))
+        monkeypatch.setattr(cocite.pipeline, "code_digest", lambda: "0" * 64)
+        changed = run_pipeline(make_config(corpus_dir, out))
+        assert run_stats(out)["ingest_cache"] == "miss"
+        assert (changed.cache_hits, changed.cache_misses) == (0, cold.cache_misses)
+        again = run_pipeline(make_config(corpus_dir, out))
+        assert run_stats(out)["ingest_cache"] == "hit"
+        assert (again.cache_hits, again.cache_misses) == (cold.cache_misses, 0)
+        assert again.manifest_path.read_bytes() == cold.manifest_path.read_bytes()
 
     @pytest.mark.parametrize("key, value", [("min_papers", 5), ("field", "fieldA")])
     def test_ingest_setting_misses_and_overwrites_the_slot(self, corpus_dir, tmp_path, key, value):

@@ -72,8 +72,8 @@ class TestAssembly:
     def test_series_final_equals_total(self, built):
         _, profiles = built
         for profile in profiles.values():
-            assert profile.mentee_series.total == profile.mentee_total_impact
-            assert profile.mentor_series.total == profile.mentor_total_impact
+            assert profile.mentee_series.cumulative[-1] == profile.mentee_total_impact
+            assert profile.mentor_series.cumulative[-1] == profile.mentor_total_impact
             assert profile.mentee_series.career_len == profile.career_len_mte
 
     def test_by_type_impacts_partition_the_total(self, built):

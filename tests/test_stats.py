@@ -19,6 +19,7 @@ from cocite.errors import (
     TooFewRows,
 )
 from cocite.stats import (
+    LADDER_COLUMNS,
     MODEL_LADDER,
     ccdf,
     equal_count_bins,
@@ -261,10 +262,31 @@ class TestQuadraticFit:
 
 
 class TestLadder:
+    def test_composition_is_pinned(self):
+        base = ("ave_distance", "ave_distance_sq", "career_len_mte", "mte_work_count_first_5y")
+        mentor = (*base, "topic_num_mto", "mto_citation_impact")
+        split = (*mentor, "colla_work_count_first_5y", "colla_work_count_later")
+        assert MODEL_LADDER == (
+            ("m1_distance", ("ave_distance", "ave_distance_sq")),
+            ("m2_career", base),
+            ("m3_mentor", mentor),
+            ("m4_collab", (*mentor, "colla_work_count")),
+            ("m5_collab_split", split),
+            ("m6_full", (*split, "common_collaborators_count")),
+        )
+        # The union of the models' columns, in order of first use.
+        assert LADDER_COLUMNS == (
+            *mentor,
+            "colla_work_count",
+            "colla_work_count_first_5y",
+            "colla_work_count_later",
+            "common_collaborators_count",
+        )
+
     def test_r2_never_decreases_up_the_ladder(self):
         table, _ = planted_regression_cohort(seed=5, n=400)
         ladder = fit_model_ladder(table)
-        r2 = [res.r2 for _, res in ladder.models]
+        r2 = [res.r2 for _, res in ladder]
         assert len(r2) == len(MODEL_LADDER)
         assert all(a <= b + 1e-12 for a, b in zip(r2, r2[1:]))
 
@@ -273,22 +295,20 @@ class TestLadder:
         table = {k: v.copy() for k, v in table.items()}
         table["common_collaborators_count"][:7] = np.nan
         ladder = fit_model_ladder(table)
-        assert ladder.n_dropped == 7
-        assert ladder.n_rows == 193
         # Every model, even ones not using the NaN column, fits 193 rows.
-        assert all(res.n == 193 for _, res in ladder.models)
+        assert [res.n for _, res in ladder] == [193] * len(MODEL_LADDER)
 
     def test_log_outcome_option(self):
         table, _ = planted_regression_cohort(seed=5, n=300)
         plain = fit_model_ladder(table)
         logged = fit_model_ladder(table, log1p_outcome=True)
-        assert plain.n_rows == logged.n_rows
-        assert plain.models[0][1].beta != logged.models[0][1].beta
+        assert [res.n for _, res in plain] == [res.n for _, res in logged]
+        assert plain[0][1].beta != logged[0][1].beta
 
     def test_distance_terms_recovered(self):
         table, truth = planted_regression_cohort(seed=5, n=2000)
         ladder = fit_model_ladder(table)
-        full = ladder.models[-1][1]
+        full = ladder[-1][1]
         beta_d, se_d, _, _ = full.coef("ave_distance")
         beta_d2, se_d2, _, p_d2 = full.coef("ave_distance_sq")
         assert abs(beta_d - truth["ave_distance"]) < 3 * se_d

@@ -54,7 +54,6 @@ class TestTyping:
         )
         t = classify_topics(graph, assignment)
         assert t.proportions == {0: 0.4, 1: 0.3, 2: 0.2, 3: 0.1}
-        assert t.median_proportion == pytest.approx(0.25)
         assert t.type_of == {
             0: TopicType.PRIMARY,
             1: TopicType.PRIMARY,
@@ -68,7 +67,6 @@ class TestTyping:
             {0: [R] * 3 + [E], 1: [R] * 2 + [E], 2: [R] * 1 + [E]}
         )
         t = classify_topics(graph, assignment)
-        assert t.median_proportion == pytest.approx(2 / 6)
         assert t.type_of[0] is TopicType.PRIMARY
         assert t.type_of[1] is TopicType.SECONDARY
         assert t.type_of[2] is TopicType.SECONDARY
@@ -108,7 +106,6 @@ class TestTyping:
         graph, assignment = typing_fixture({0: [E], 1: [E, E]})
         t = classify_topics(graph, assignment)
         assert t.type_of == {0: TopicType.NEW, 1: TopicType.NEW}
-        assert t.median_proportion is None
         assert t.proportions == {}
         assert t.mentor_side == {}
         assert not t.degenerate_median
