@@ -26,16 +26,18 @@ def main() -> None:
 
     print(f"cohort: n={args.n} seed={args.seed} planted peak={truth['peak']}")
     print("\nmodel ladder (R^2):")
+    width = max(len(name) for name, _ in ladder)
     for name, fit in ladder:
-        print(f"  {name:12s} r2={fit.r2:.4f} adj_r2={fit.adj_r2:.4f} n={fit.n}")
+        print(f"  {name:{width}s} r2={fit.r2:.4f} adj_r2={fit.adj_r2:.4f} n={fit.n}")
 
     full = dict(ladder)["m6_full"]
     print("\nfull model coefficients (planted value in brackets):")
+    width = max(len(name) for name in full.names)
     for name in full.names:
         beta, se, _, p = full.coef(name)
         target = truth.get(name)
         bracket = f" [{target:+.3f}]" if target is not None else ""
-        print(f"  {name:20s} {beta:+.4f} (se {se:.4f}, p {p:.2e}){bracket}")
+        print(f"  {name:{width}s} {beta:+.4f} (se {se:.4f}, p {p:.2e}){bracket}")
 
     quad = fit_quadratic(table["ave_distance"], table["mentee_total_impact"])
     shape = "inverted U" if quad.inverted_u else "not inverted U"

@@ -26,7 +26,6 @@ class PaperImpact:
     topic."""
 
     paper: int
-    topic_id: int
     authorship: Authorship
     w: int
     author_count: int
@@ -61,8 +60,6 @@ class ImpactAllocation:
     fsums the same multiset reproduces them bit for bit.
     """
 
-    mentor_id: str
-    mentee_id: str
     topics: dict[int, TopicImpact]
     mentee_total: float
     mentor_total: float
@@ -95,32 +92,24 @@ def allocate_impact(
     for topic_id in sorted(assignment.topics):
         members = np.array(assignment.topics[topic_id], dtype=np.int64)
         pool, w = cociting_pool(members, index)
-        rows = [
-            PaperImpact(
-                paper=paper,
-                topic_id=topic_id,
-                authorship=graph.labels[paper],
-                w=w_p,
-                author_count=s_p,
-            )
+        rows = tuple(
+            PaperImpact(paper=paper, authorship=graph.labels[paper], w=w_p, author_count=s_p)
             for paper, w_p, s_p in zip(
                 members.tolist(), w.tolist(), index.paper_authors.lengths(members).tolist()
             )
-        ]
-        c_mentee = math.fsum(r.contribution for r in rows if r.authorship in MENTEE_SIDE)
-        c_mentor = math.fsum(r.contribution for r in rows if r.authorship in MENTOR_SIDE)
-        mentee_shares.extend(r.contribution for r in rows if r.authorship in MENTEE_SIDE)
-        mentor_shares.extend(r.contribution for r in rows if r.authorship in MENTOR_SIDE)
+        )
+        mentee = [r.contribution for r in rows if r.authorship in MENTEE_SIDE]
+        mentor = [r.contribution for r in rows if r.authorship in MENTOR_SIDE]
+        mentee_shares.extend(mentee)
+        mentor_shares.extend(mentor)
         topics[topic_id] = TopicImpact(
             topic_id=topic_id,
             pool=pool,
-            rows=tuple(rows),
-            c_mentee=c_mentee,
-            c_mentor=c_mentor,
+            rows=rows,
+            c_mentee=math.fsum(mentee),
+            c_mentor=math.fsum(mentor),
         )
     return ImpactAllocation(
-        mentor_id=graph.mentor_id,
-        mentee_id=graph.mentee_id,
         topics=topics,
         mentee_total=math.fsum(mentee_shares),
         mentor_total=math.fsum(mentor_shares),

@@ -10,9 +10,11 @@ of their seed and write byte-stable JSONL.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
+import statistics
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
@@ -101,6 +103,13 @@ def _plant_pair(
     mentee_last = mentee_first + rng.randint(30, 36)
     mentor_first = max(1960, mentee_first - rng.randint(3, 12))
     mentor_last = min(mentor_first + rng.randint(30, 40), 2021)
+    # Per paper kind: the years its papers may take and its lead authors.
+    span = {
+        "mte": (mentee_first, mentee_last),
+        "mto": (mentor_first, mentor_last),
+        "joint": (mentee_first, min(mentee_last, mentor_last)),
+    }
+    leads = {"mte": (mentee_id,), "mto": (mentor_id,), "joint": (mentee_id, mentor_id)}
 
     # Topic layout: ids 0..k_shared-1 shared, then new, then mentor-only.
     specs: list[tuple[str, int]] = []
@@ -114,122 +123,66 @@ def _plant_pair(
     n_joint = rng.randint(0, 3) if k_shared > 0 else 0
     specs += [("joint", rng.randrange(k_shared)) for _ in range(n_joint)]
 
-    # Years: pin the first two papers of each solo role to the career ends
+    # Years: the first two solo papers of each role sit at its career ends,
     # so realized first year and span equal the planted ones.
     years: list[int] = []
-    mte_seen = 0
-    mto_seen = 0
+    seen = dict.fromkeys(span, 0)
     for kind, _ in specs:
-        if kind == "mte":
-            if mte_seen == 0:
-                years.append(mentee_first)
-            elif mte_seen == 1:
-                years.append(mentee_last)
-            else:
-                years.append(rng.randint(mentee_first, mentee_last))
-            mte_seen += 1
-        elif kind == "mto":
-            if mto_seen == 0:
-                years.append(mentor_first)
-            elif mto_seen == 1:
-                years.append(mentor_last)
-            else:
-                years.append(rng.randint(mentor_first, mentor_last))
-            mto_seen += 1
-        else:
-            years.append(rng.randint(mentee_first, min(mentee_last, mentor_last)))
+        pinned = kind != "joint" and seen[kind] < 2
+        years.append(span[kind][seen[kind]] if pinned else rng.randint(*span[kind]))
+        seen[kind] += 1
 
     pool = [f"p{pair_no:03d}co{m}" for m in range(6)]
     records: list[PaperRecord] = []
-    paper_ids: list[str] = []
-    side_coauthors = {"mte": set(), "mto": set()}
+    coauthors: dict[str, set[str]] = {mentee_id: set(), mentor_id: set()}
     for j, ((kind, _topic), year) in enumerate(zip(specs, years)):
-        pid = f"p{pair_no:03d}w{j:04d}"
-        paper_ids.append(pid)
         extras = rng.sample(pool, rng.randint(0, 2))
-        if kind == "mte":
-            authors = (mentee_id, *extras)
-            side_coauthors["mte"].update(extras)
-        elif kind == "mto":
-            authors = (mentor_id, *extras)
-            side_coauthors["mto"].update(extras)
-        else:
-            authors = (mentee_id, mentor_id, *extras)
-            side_coauthors["mte"].update(extras)
-            side_coauthors["mto"].update(extras)
-        records.append(PaperRecord(pid, authors, year, field, ()))
-
-    members: dict[int, list[int]] = {}
-    for j, (_, topic) in enumerate(specs):
-        members.setdefault(topic, []).append(j)
+        for lead in leads[kind]:
+            coauthors[lead].update(extras)
+        pid = f"p{pair_no:03d}w{j:04d}"
+        records.append(PaperRecord(pid, (*leads[kind], *extras), year, field, ()))
+    members = [[j for j, (_, t) in enumerate(specs) if t == topic] for topic in range(n_topics)]
 
     # Co-citing sources: one fresh citer per sampled paper pair. Same-topic
     # citers land in that topic's pool (they cite two members); cross-topic
     # citers only add stray edges.
     w = [0] * len(specs)
-    citer_no = 0
-    year_of = years
 
     def add_citer(u: int, v: int) -> None:
-        nonlocal citer_no
-        cid = f"p{pair_no:03d}c{citer_no:05d}"
-        author = f"p{pair_no:03d}ca{citer_no:05d}"
-        citer_no += 1
-        year = min(2021, max(year_of[u], year_of[v]) + rng.randint(0, 3))
-        records.append(
-            PaperRecord(cid, (author,), year, field, (paper_ids[u], paper_ids[v]))
-        )
+        c = len(records) - len(specs)
+        year = min(2021, max(years[u], years[v]) + rng.randint(0, 3))
+        cites = (records[u].paper_id, records[v].paper_id)
+        author = f"p{pair_no:03d}ca{c:05d}"
+        records.append(PaperRecord(f"p{pair_no:03d}c{c:05d}", (author,), year, field, cites))
 
-    for topic in range(n_topics):
-        ms = members[topic]
-        for a in range(len(ms)):
-            for b in range(a + 1, len(ms)):
-                if rng.random() < cfg.p_in:
-                    u, v = ms[a], ms[b]
-                    add_citer(u, v)
-                    w[u] += 1
-                    w[v] += 1
-    for t1 in range(n_topics):
-        for t2 in range(t1 + 1, n_topics):
-            for u in members[t1]:
-                for v in members[t2]:
-                    if rng.random() < cfg.p_out:
-                        add_citer(u, v)
+    for ms in members:
+        for u, v in itertools.combinations(ms, 2):
+            if rng.random() < cfg.p_in:
+                add_citer(u, v)
+                w[u] += 1
+                w[v] += 1
+    for ms1, ms2 in itertools.combinations(members, 2):
+        for u, v in itertools.product(ms1, ms2):
+            if rng.random() < cfg.p_out:
+                add_citer(u, v)
 
-    # Planted impact from the tracked in-topic citation counts.
-    per_topic_e: dict[int, float] = {}
-    per_topic_r: dict[int, float] = {}
-    flat_e: list[float] = []
-    flat_r: list[float] = []
-    for topic in range(n_topics):
-        e_shares = []
-        r_shares = []
-        for j in members[topic]:
-            share = w[j] / len(records[j].author_ids)
-            if specs[j][0] in ("mte", "joint"):
-                e_shares.append(share)
-            if specs[j][0] in ("mto", "joint"):
-                r_shares.append(share)
-        per_topic_e[topic] = math.fsum(e_shares)
-        per_topic_r[topic] = math.fsum(r_shares)
-        flat_e.extend(e_shares)
-        flat_r.extend(r_shares)
+    # Planted impact: each member paper adds w(p)/s(p) on the side of each
+    # of its lead authors, so joint papers count on both sides.
+    shares = {lead: [[] for _ in members] for lead in (mentee_id, mentor_id)}
+    for topic, ms in enumerate(members):
+        for j in ms:
+            for lead in leads[specs[j][0]]:
+                shares[lead][topic].append(w[j] / len(records[j].author_ids))
 
-    # Planted mentor-side typing by the median-share rule.
-    mentor_counts = {
-        t: sum(1 for j in members[t] if specs[j][0] in ("mto", "joint"))
-        for t in range(n_topics)
-    }
-    mentor_topics = [t for t, c in mentor_counts.items() if c > 0]
-    total_mentor = sum(mentor_counts[t] for t in mentor_topics)
-    props = sorted(mentor_counts[t] / total_mentor for t in mentor_topics)
-    mid = len(props) // 2
-    median = props[mid] if len(props) % 2 == 1 else (props[mid - 1] + props[mid]) / 2
-    primary = tuple(
-        t for t in sorted(mentor_topics) if mentor_counts[t] / total_mentor > median
-    )
+    # Mentor-side typing: a topic is primary when its share of the mentor's
+    # papers is above the median share.
+    mentor_counts = {t: len(s) for t, s in enumerate(shares[mentor_id]) if s}
+    total_mentor = sum(mentor_counts.values())
+    median = statistics.median(c / total_mentor for c in mentor_counts.values())
+    primary = tuple(t for t, c in mentor_counts.items() if c / total_mentor > median)
 
-    common = side_coauthors["mte"] & side_coauthors["mto"]
+    per_topic = {lead: dict(enumerate(map(math.fsum, s))) for lead, s in shares.items()}
+    totals = {lead: math.fsum(itertools.chain(*s)) for lead, s in shares.items()}
     truth = PairTruth(
         mentor_id=mentor_id,
         mentee_id=mentee_id,
@@ -239,14 +192,14 @@ def _plant_pair(
         n_new=n_new,
         new_topic_ratio=n_new / (n_new + k_shared),
         n_topics=n_topics,
-        topic_of={paper_ids[j]: specs[j][1] for j in range(len(specs))},
+        topic_of={records[j].paper_id: t for j, (_, t) in enumerate(specs)},
         mentor_primary_topics=primary,
-        per_topic_mentee_impact=per_topic_e,
-        per_topic_mentor_impact=per_topic_r,
-        mentee_total=math.fsum(flat_e),
-        mentor_total=math.fsum(flat_r),
+        per_topic_mentee_impact=per_topic[mentee_id],
+        per_topic_mentor_impact=per_topic[mentor_id],
+        mentee_total=totals[mentee_id],
+        mentor_total=totals[mentor_id],
         colla_work_count=n_joint,
-        common_collaborators_count=len(common),
+        common_collaborators_count=len(coauthors[mentee_id] & coauthors[mentor_id]),
         mentee_first_year=mentee_first,
         mentee_career_len=mentee_last - mentee_first,
         mentor_first_year=mentor_first,
@@ -306,6 +259,13 @@ def planted_regression_cohort(
     set to half the signal variance. The quadratic peak sits at d = 2. Every
     other ladder column carries a true zero coefficient.
     """
+    coef = {
+        "intercept": 1.0,
+        **dict.fromkeys(LADDER_COLUMNS, 0.0),
+        "ave_distance": 4.0,
+        "ave_distance_sq": -1.0,
+        "career_len_mte": 0.5,
+    }
     rng = np.random.default_rng(seed)
     d = rng.uniform(0.5, 3.5, n)
     career = rng.integers(30, 41, n).astype(float)
@@ -315,9 +275,6 @@ def planted_regression_cohort(
     c5 = rng.integers(0, 11, n).astype(float)
     cl = rng.integers(0, 16, n).astype(float)
     cc = rng.integers(0, 21, n).astype(float)
-    signal = 1.0 + 4.0 * d - d * d + 0.5 * career
-    sigma = float(np.sqrt(signal.var() / 2.0))
-    y = signal + rng.normal(0.0, sigma, n)
     table = {
         "ave_distance": d,
         "ave_distance_sq": d * d,
@@ -329,15 +286,11 @@ def planted_regression_cohort(
         "colla_work_count_first_5y": c5,
         "colla_work_count_later": cl,
         "common_collaborators_count": cc,
-        "mentee_total_impact": y,
     }
-    truth = {
-        "intercept": 1.0,
-        **dict.fromkeys(LADDER_COLUMNS, 0.0),
-        "ave_distance": 4.0,
-        "ave_distance_sq": -1.0,
-        "career_len_mte": 0.5,
-        "peak": 2.0,
-        "sigma": sigma,
-    }
-    return table, truth
+    # Summed left to right from the intercept, so the values are those of
+    # 1 + 4 d - d^2 + 0.5 career_len bit for bit; zero terms add exactly 0.
+    signal = sum((coef[c] * table[c] for c in LADDER_COLUMNS), coef["intercept"])
+    sigma = float(np.sqrt(signal.var() / 2.0))
+    table["mentee_total_impact"] = signal + rng.normal(0.0, sigma, n)
+    peak = -coef["ave_distance"] / (2.0 * coef["ave_distance_sq"])
+    return table, {**coef, "peak": peak, "sigma": sigma}

@@ -55,6 +55,10 @@ def test_distance_curve_experiment():
     assert proc.returncode == 0, proc.stderr
     assert "model ladder" in proc.stdout
     assert "m6_full" in proc.stdout
+    # Every ladder row, the longest name included, starts its R^2 column at
+    # the same place.
+    rows = [line for line in proc.stdout.splitlines() if " r2=" in line]
+    assert len(rows) == 6 and len({line.index(" r2=") for line in rows}) == 1
 
 
 def test_demo_pipeline(tmp_path):

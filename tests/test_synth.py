@@ -1,6 +1,7 @@
 """Synthetic corpus generators and their planted ground truth, and the
 random builders and impact oracle in helpers."""
 
+import hashlib
 import json
 
 import pytest
@@ -43,6 +44,34 @@ class TestDeterminism:
         a = write_corpus(synthesize_corpus(SynthConfig(n_pairs=2, seed=1)), tmp_path / "a")
         b = write_corpus(synthesize_corpus(SynthConfig(n_pairs=2, seed=2)), tmp_path / "b")
         assert a[0].read_bytes() != b[0].read_bytes()
+
+    @pytest.mark.parametrize(
+        "cfg, digests",
+        [
+            (
+                SynthConfig(n_pairs=200, seed=1),
+                (
+                    "7da9102707771cd1e680b9ef750cfc4f3e37897afd74a4239fcaa3b413e8dda1",
+                    "f606bf19d0db1a1208f33433a37760de862cc591ca7f2b533d6fb47f9562116c",
+                    "d99fd5bb2c1091425ccd1d43802bf149802f63df983670577e052e017fa20470",
+                ),
+            ),
+            (
+                SynthConfig(n_pairs=6, seed=4, p_in=0.5, p_out=0.1, fields=("x", "y", "z")),
+                (
+                    "9ae117ab7641ac40116a30383860bd242a8f91872913334806de630c84f87332",
+                    "da4c315e9a8e4cd4865e4bad6d3eb1f98a5e39d9d10f9a42fdb10158c25b856d",
+                    "7c7baac92681eb388e444b63c476de4e3a3c311e2ceab9aeb416794beae45afc",
+                ),
+            ),
+        ],
+        ids=["sparse-200-seed1", "small-nondefault"],
+    )
+    def test_pinned_bytes(self, cfg, digests, tmp_path):
+        """The planted truth is the oracle for every other check, so its
+        bytes are pinned: papers.jsonl, mentorships.jsonl, ground_truth.json."""
+        paths = write_corpus(synthesize_corpus(cfg), tmp_path)
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == digests
 
 
 @pytest.fixture(scope="module")
