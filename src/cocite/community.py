@@ -39,8 +39,8 @@ class TopicAssignment:
     filter is applied.
     """
 
-    topic_of: dict[str, int | None]
-    topics: dict[int, tuple[str, ...]]
+    topic_of: dict[Hashable, int | None]
+    topics: dict[int, tuple[Hashable, ...]]
     modularity_q: float
 
     @property
@@ -193,7 +193,7 @@ def detect_topics(graph: PairGraph, config: DetectionConfig | None = None) -> To
     # also the pre-filter modularity of the whole graph.
     q = modularity(connected, raw, gamma=cfg.gamma)
 
-    groups: dict[int, list[str]] = {}
+    groups: dict[int, list[Hashable]] = {}
     for node, c in raw.items():
         groups.setdefault(c, []).append(node)
     ordered = sorted(
@@ -201,8 +201,8 @@ def detect_topics(graph: PairGraph, config: DetectionConfig | None = None) -> To
         key=lambda ms: (-len(ms), ms[0]),
     )
 
-    topic_of: dict[str, int | None] = {n: None for n in graph.nodes}
-    topics: dict[int, tuple[str, ...]] = {}
+    topic_of: dict[Hashable, int | None] = {n: None for n in graph.nodes}
+    topics: dict[int, tuple[Hashable, ...]] = {}
     next_id = 0
     for members in ordered:
         if len(members) < cfg.min_community_size:

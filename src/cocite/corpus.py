@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DuplicatePaperId, EmptyCorpus, MalformedRecord
 
 if TYPE_CHECKING:
-    from .pipeline import IngestCache
+    from .pipeline import Cache
 
 # Hard validity bounds for any year value; records outside raise MalformedRecord.
 # The (narrower) ingest window in IngestConfig drops records silently and counts
@@ -211,10 +211,6 @@ class CitationIndex:
     def n_papers(self) -> int:
         return len(self.paper_ids)
 
-    def paper(self, paper_id: str) -> int | None:
-        """The number of the paper with this id, or None if it has no record."""
-        return _find(self.paper_ids, paper_id)
-
     def author(self, author_id: str) -> int | None:
         """The number of the author with this id, or None if they have no paper."""
         return _find(self.author_ids, author_id)
@@ -353,7 +349,7 @@ def ingest_corpus(
     mentorships_path: str | Path,
     config: IngestConfig | None = None,
     *,
-    cache: IngestCache | None = None,
+    cache: Cache | None = None,
 ) -> IngestResult:
     """Read both JSONL files and build the citation index in one pass.
 
@@ -362,10 +358,13 @@ def ingest_corpus(
     ``min_papers`` papers in the filtered corpus are dropped and counted.
     Structural problems (bad JSON, missing keys, duplicate ids) raise.
 
-    With a `cache` whose key names these files and this config, its entry
-    is returned if it loads; otherwise the parsed result is stored in it.
+    With a `cache`, the entry named by the key of these files and the
+    cache's config is returned if it loads; otherwise the parsed result is
+    stored under that name. An entry under another key stays until the
+    cache's next complete pair stage prunes it, so a run interrupted after
+    an ingest setting changed leaves both entries behind.
     """
-    if cache is not None and (cached := cache.load()) is not None:
+    if cache is not None and (cached := cache.load_ingest()) is not None:
         return cached
     cfg = config or IngestConfig()
     report: Counter[tuple[str, str]] = Counter()
@@ -408,7 +407,7 @@ def ingest_corpus(
 
     result = IngestResult(index, mentorships, report)
     if cache is not None:
-        cache.store(result)
+        cache.store_ingest(result)
     return result
 
 

@@ -276,30 +276,6 @@ def pair_cache_key(corpus_hash: str, mentorship: MentorshipRecord, config: Pipel
 # as corrupt and recomputed like a miss. A missing file is a plain miss.
 _DAMAGED = (OSError, ValueError, LookupError, TypeError, AttributeError, EOFError, zipfile.BadZipFile)
 
-_Entry = TypeVar("_Entry")
-
-
-def _load_entry(path: Path, read: Callable[[Path], _Entry | None]) -> tuple[_Entry | None, str]:
-    """`read(path)` and the status of the lookup: "hit", "miss" (no file, or
-    `read` found another key's entry and returned None) or "corrupt"."""
-    try:
-        entry = read(path)
-    except FileNotFoundError:
-        return None, "miss"
-    except _DAMAGED:
-        return None, "corrupt"
-    return entry, "miss" if entry is None else "hit"
-
-
-def _store_entry(path: Path, write: Callable[[BinaryIO], object]) -> None:
-    """Write an entry to a temporary file renamed into place, so no reader
-    sees a partial entry; `PairCache.prune` removes what a cut write leaves."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as fh:
-        write(fh)
-    os.replace(tmp, path)
-
-
 # The Rows of an index, each with the id lists that count its rows and
 # number its values.
 _INDEX_ROWS = (
@@ -309,7 +285,7 @@ _INDEX_ROWS = (
 )
 _ID_LISTS = ("paper_ids", "author_ids")
 # Every member of an ingest entry, with its dtype as CitationIndex builds
-# it. Each id list is a JSON array, and `meta` (the key, mentorships and
+# it. Each id list is a JSON array, and `meta` (the mentorships and the
 # report) a JSON object, as ASCII text.
 _ENTRY_DTYPES = {
     "pub_year": np.dtype(np.int16),
@@ -332,73 +308,57 @@ def _unpack_rows(members: dict[str, np.ndarray], name: str, n_rows: int, n_value
     return Rows(indptr, indices)
 
 
-@dataclass
-class IngestCache:
-    """One file holding the whole result of the ingest that `key` names.
-
-    `load` serves the file only if it holds an entry stored under `key`, and
-    `store` replaces it, so the slot keeps one ingest at a time. After a
-    `load`, `status` is "hit", "miss" (no file, or another key) or "corrupt"
-    (a file this code did not write, or damaged; it is parsed again and
-    overwritten like a miss).
-    """
-
-    path: Path
-    key: str
-    status: str = "miss"
-
-    def load(self) -> IngestResult | None:
-        result, self.status = _load_entry(self.path, self._read)
-        return result
-
-    def _read(self, path: Path) -> IngestResult | None:
-        # Our own handle: np.load leaves its own open when zipfile rejects the file.
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as entry:
-            _check_entry(sorted(entry.files) == sorted(_ENTRY_DTYPES))
-            members = {name: entry[name] for name in _ENTRY_DTYPES}
-        for name, dtype in _ENTRY_DTYPES.items():
-            _check_entry(members[name].dtype == dtype and members[name].ndim == 1)
-        meta = json.loads(members["meta"].tobytes())
-        if meta["key"] != self.key:
-            return None
-        ids = {name: json.loads(members[name].tobytes()) for name in _ID_LISTS}
-        _check_entry(all(type(i) is list and set(map(type, i)) <= {str} for i in ids.values()))
-        _check_entry(len(members["pub_year"]) == len(ids["paper_ids"]))
-        rows = {
-            name: _unpack_rows(members, name, len(ids[counted]), len(ids[numbered]))
-            for name, counted, numbered in _INDEX_ROWS
-        }
-        index = CitationIndex.from_arrays(ids["paper_ids"], ids["author_ids"], members["pub_year"], **rows)
-        mentorships = [MentorshipRecord(*m) for m in meta["mentorships"]]
-        report = Counter({(stage, reason): n for stage, reason, n in meta["report"]})
-        return IngestResult(index, mentorships, report)
-
-    def store(self, result: IngestResult) -> None:
-        index = result.index
-        members = {"pub_year": index.pub_year}
-        for name, _, _ in _INDEX_ROWS:
-            rows = getattr(index, name)
-            members[f"{name}.indptr"], members[f"{name}.indices"] = rows.indptr, rows.indices
-        texts = {name: getattr(index, name) for name in _ID_LISTS}
-        texts["meta"] = {
-            "key": self.key,
-            "mentorships": [astuple(m) for m in result.mentorships],
-            "report": [[*key, n] for key, n in result.report.items()],
-        }
-        for name, value in texts.items():
-            # ensure_ascii escapes any surrogate, so the text encodes as ASCII.
-            members[name] = np.frombuffer(json.dumps(value).encode("ascii"), dtype=np.uint8)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # A file object, since np.savez would append ".npz" to a path.
-        _store_entry(self.path, lambda fh: np.savez(fh, **members))
+def _read_ingest(path: Path) -> IngestResult:
+    # Our own handle: np.load leaves its own open when zipfile rejects the file.
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as entry:
+        _check_entry(sorted(entry.files) == sorted(_ENTRY_DTYPES))
+        members = {name: entry[name] for name in _ENTRY_DTYPES}
+    for name, dtype in _ENTRY_DTYPES.items():
+        _check_entry(members[name].dtype == dtype and members[name].ndim == 1)
+    meta = json.loads(members["meta"].tobytes())
+    ids = {name: json.loads(members[name].tobytes()) for name in _ID_LISTS}
+    _check_entry(all(type(i) is list and set(map(type, i)) <= {str} for i in ids.values()))
+    _check_entry(len(members["pub_year"]) == len(ids["paper_ids"]))
+    rows = {
+        name: _unpack_rows(members, name, len(ids[counted]), len(ids[numbered]))
+        for name, counted, numbered in _INDEX_ROWS
+    }
+    index = CitationIndex.from_arrays(ids["paper_ids"], ids["author_ids"], members["pub_year"], **rows)
+    mentorships = [MentorshipRecord(*m) for m in meta["mentorships"]]
+    report = Counter({(stage, reason): n for stage, reason, n in meta["report"]})
+    return IngestResult(index, mentorships, report)
 
 
-class PairCache:
-    """One JSON file per pair profile under `cache_dir`.
+def _write_ingest(fh: BinaryIO, result: IngestResult) -> None:
+    index = result.index
+    members = {"pub_year": index.pub_year}
+    for name, _, _ in _INDEX_ROWS:
+        rows = getattr(index, name)
+        members[f"{name}.indptr"], members[f"{name}.indices"] = rows.indptr, rows.indices
+    texts = {name: getattr(index, name) for name in _ID_LISTS}
+    texts["meta"] = {
+        "mentorships": [astuple(m) for m in result.mentorships],
+        "report": [[*key, n] for key, n in result.report.items()],
+    }
+    for name, value in texts.items():
+        # ensure_ascii escapes any surrogate, so the text encodes as ASCII.
+        members[name] = np.frombuffer(json.dumps(value).encode("ascii"), dtype=np.uint8)
+    # A file object, since np.savez would append ".npz" to a path.
+    np.savez(fh, **members)
 
-    An entry that does not decode is counted as corrupt and treated as a
-    miss. `prune` keeps only the entries of the pairs looked up since the
-    cache opened.
+
+_Entry = TypeVar("_Entry")
+
+
+class Cache:
+    """Every entry under `cache_dir`, each a file named by its key: the
+    ingest result as `<ingest_cache_key>.npz` and each pair's profile as
+    `<pair_cache_key>.json`.
+
+    `lookups` maps the name of each entry looked up since the cache opened
+    to what the lookup gave: "hit", "miss" (no file) or "corrupt" (a file
+    this code did not write, or damaged; it is recomputed and overwritten
+    like a miss). `prune` keeps only those entries.
     """
 
     def __init__(self, cache_dir: Path, corpus_hash: str, config: PipelineConfig):
@@ -406,30 +366,53 @@ class PairCache:
         self.dir = cache_dir
         self.corpus_hash = corpus_hash
         self.config = config
-        self.corrupt = 0
-        self.live: set[str] = set()
+        self.ingest_name = f"{ingest_cache_key(corpus_hash, config)}.npz"
+        self.lookups: dict[str, str] = {}
 
-    def _path(self, mentorship: MentorshipRecord) -> Path:
-        return self.dir / f"{pair_cache_key(self.corpus_hash, mentorship, self.config)}.json"
+    def _pair_name(self, mentorship: MentorshipRecord) -> str:
+        return f"{pair_cache_key(self.corpus_hash, mentorship, self.config)}.json"
 
-    def load(self, mentorship: MentorshipRecord) -> PairProfile | None:
-        path = self._path(mentorship)
-        self.live.add(path.name)
-        profile, status = _load_entry(
-            path, lambda p: PairProfile.from_dict(json.loads(p.read_text(encoding="utf-8")))
+    def _load(self, name: str, read: Callable[[Path], _Entry]) -> _Entry | None:
+        try:
+            entry, self.lookups[name] = read(self.dir / name), "hit"
+        except FileNotFoundError:
+            entry, self.lookups[name] = None, "miss"
+        except _DAMAGED:
+            entry, self.lookups[name] = None, "corrupt"
+        return entry
+
+    def _store(self, name: str, write: Callable[[BinaryIO], object]) -> None:
+        """Write an entry to a temporary file renamed into place, so no
+        reader sees a partial entry; `prune` removes what a cut write leaves."""
+        path = self.dir / name
+        tmp = path.with_name(f"{name}.{os.getpid()}.tmp")
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+
+    def load_ingest(self) -> IngestResult | None:
+        return self._load(self.ingest_name, _read_ingest)
+
+    def store_ingest(self, result: IngestResult) -> None:
+        self._store(self.ingest_name, lambda fh: _write_ingest(fh, result))
+
+    def load_profile(self, mentorship: MentorshipRecord) -> PairProfile | None:
+        return self._load(
+            self._pair_name(mentorship),
+            lambda path: PairProfile.from_dict(json.loads(path.read_text(encoding="utf-8"))),
         )
-        self.corrupt += status == "corrupt"
-        return profile
 
-    def store(self, mentorship: MentorshipRecord, profile: PairProfile) -> None:
+    def store_profile(self, mentorship: MentorshipRecord, profile: PairProfile) -> None:
         blob = json.dumps(profile.to_dict(), sort_keys=True).encode("utf-8")
-        _store_entry(self._path(mentorship), lambda fh: fh.write(blob))
+        self._store(self._pair_name(mentorship), lambda fh: fh.write(blob))
 
     def prune(self) -> None:
-        """Delete stale entries, written under other settings or for other
-        pairs, and temporary files left by an interrupted write."""
+        """Delete the entries not looked up, written under other settings,
+        code or corpora or for other pairs, and temporary files left by an
+        interrupted write. Other files stay."""
         for path in self.dir.iterdir():
-            if path.suffix == ".tmp" or (path.suffix == ".json" and path.name not in self.live):
+            stale = path.suffix in (".json", ".npz") and path.name not in self.lookups
+            if stale or path.suffix == ".tmp":
                 path.unlink()
 
 
@@ -466,26 +449,25 @@ class PairStageResult:
     failures: list[Failure]
     cache_hits: int
     cache_misses: int
-    cache_corrupt: int
 
 
 def build_profiles(
     index: CitationIndex,
     mentorships: Sequence[MentorshipRecord],
     config: PipelineConfig,
-    corpus_hash: str,
-    cache_dir: Path,
+    cache: Cache,
 ) -> PairStageResult:
-    """Per-pair stage with fault isolation and a JSON cache in `cache_dir`.
+    """Per-pair stage with fault isolation, each profile cached in `cache`.
 
-    Each profile is stored as it comes in, and stale entries are pruned only
+    Each profile is stored as it comes in, and the cache is pruned only
     after a complete stage. Output order is (field, mentor_id, mentee_id)
     regardless of worker scheduling.
     """
     ordered = sorted(mentorships, key=lambda m: (m.field, m.mentor_id, m.mentee_id))
-    cache = PairCache(cache_dir, corpus_hash, config)
 
-    results: dict[MentorshipRecord, PairProfile | Failure | None] = {m: cache.load(m) for m in ordered}
+    results: dict[MentorshipRecord, PairProfile | Failure | None] = {
+        m: cache.load_profile(m) for m in ordered
+    }
     # Largest pairs first, so that the slowest does not start last.
     pending = sorted(
         (m for m, profile in results.items() if profile is None),
@@ -514,7 +496,7 @@ def build_profiles(
         for m, result in zip(pending, computed):
             results[m] = result
             if isinstance(result, PairProfile):
-                cache.store(m, result)
+                cache.store_profile(m, result)
     finally:
         if pool is not None:
             # After an interrupt, only the pairs already running are awaited.
@@ -527,7 +509,6 @@ def build_profiles(
         failures=[r for r in ordered_results if not isinstance(r, PairProfile)],
         cache_hits=len(ordered) - len(pending),
         cache_misses=len(pending),
-        cache_corrupt=cache.corrupt,
     )
 
 
@@ -767,21 +748,13 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     corpus_hash = corpus_digest(config.papers, config.mentorships)
     ends.append(time.perf_counter())
 
-    ingest_cache = IngestCache(out_dir / "cache" / "ingest.npz", ingest_cache_key(corpus_hash, config))
-    ingest_result = ingest_corpus(
-        config.papers, config.mentorships, config.ingest_config(), cache=ingest_cache
-    )
+    cache = Cache(out_dir / "cache", corpus_hash, config)
+    ingest_result = ingest_corpus(config.papers, config.mentorships, config.ingest_config(), cache=cache)
     write_ingest_report(out_dir / "ingest_report.csv", ingest_result.report)
     written = ["ingest_report.csv"]
     ends.append(time.perf_counter())
 
-    stage = build_profiles(
-        ingest_result.index,
-        ingest_result.mentorships,
-        config,
-        corpus_hash,
-        cache_dir=out_dir / "cache",
-    )
+    stage = build_profiles(ingest_result.index, ingest_result.mentorships, config, cache)
     ends.append(time.perf_counter())
     assign_elites(stage.profiles, config)
 
@@ -814,8 +787,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     run_stats = {
         "cache_hits": stage.cache_hits,
         "cache_misses": stage.cache_misses,
-        "cache_corrupt": stage.cache_corrupt + (ingest_cache.status == "corrupt"),
-        "ingest_cache": ingest_cache.status,
+        "cache_corrupt": list(cache.lookups.values()).count("corrupt"),
+        "ingest_cache": cache.lookups[cache.ingest_name],
         "stages_s": dict(zip(RUN_STAGES, np.diff(ends).tolist())),
         "distance_substituted": sum(p.distance_substituted for p in stage.profiles),
         "zero_impact": sum(p.zero_impact for p in stage.profiles),

@@ -14,7 +14,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .community import TopicAssignment
 from .corpus import CitationIndex
@@ -61,7 +61,7 @@ class StrategyRecord:
     new_topic_ratio: float
 
 
-def side_counts(graph: PairGraph, members: Iterable[str]) -> tuple[int, int]:
+def side_counts(graph: PairGraph, members: Iterable[Hashable]) -> tuple[int, int]:
     """(mentee-side, mentor-side) paper counts among the given members."""
     mentee = 0
     mentor = 0

@@ -18,7 +18,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from cocite.community import TopicAssignment
-from cocite.corpus import CitationIndex, PaperRecord
+from cocite.corpus import CitationIndex, PaperRecord, _find
 from cocite.pairgraph import (
     MENTEE_SIDE,
     MENTOR_SIDE,
@@ -38,6 +38,11 @@ def paper(pid, authors, year=2000, field="f", refs=()) -> PaperRecord:
 
 def make_index(*records: PaperRecord) -> CitationIndex:
     return CitationIndex(records)
+
+
+def paper_number(index: CitationIndex, paper_id: str) -> int | None:
+    """The number of the paper with this id, or None if it has no record."""
+    return _find(index.paper_ids, paper_id)
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ def index_as_dicts(index: CitationIndex) -> DictIndex:
     """The same maps read back from a CitationIndex through its id lookups,
     with every paper and author number turned back into its id."""
     pids, aids = index.paper_ids, index.author_ids
-    papers = [index.paper(pid) for pid in pids]
+    papers = [paper_number(index, pid) for pid in pids]
     authors = [index.author(aid) for aid in aids]
     return DictIndex(
         cited_by_map={pids[p]: tuple(pids[c] for c in index.cited_by[p]) for p in papers},
@@ -131,8 +136,8 @@ def named_pair_graph(
 def numbered_assignment(assignment: TopicAssignment, index: CitationIndex) -> TopicAssignment:
     """A topic assignment over paper ids, moved onto the index's paper numbers."""
     return TopicAssignment(
-        topic_of={index.paper(p): t for p, t in assignment.topic_of.items()},
-        topics={t: tuple(map(index.paper, ms)) for t, ms in assignment.topics.items()},
+        topic_of={paper_number(index, p): t for p, t in assignment.topic_of.items()},
+        topics={t: tuple(paper_number(index, m) for m in ms) for t, ms in assignment.topics.items()},
         modularity_q=assignment.modularity_q,
     )
 

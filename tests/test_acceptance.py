@@ -21,7 +21,7 @@ from cocite.distance import average_distance
 from cocite.errors import NoFinitePaths
 from cocite.impact import allocate_impact
 from cocite.pairgraph import Authorship
-from cocite.pipeline import PipelineConfig, build_profiles, corpus_digest
+from cocite.pipeline import Cache, PipelineConfig, build_profiles, corpus_digest
 from cocite.stats import ccdf, equal_count_bins, fit_model_ladder, fit_quadratic, quadrant_counts, ternary_shares
 from cocite.synth import planted_regression_cohort
 from cocite.topics import Strategy, classify_strategy, classify_topics
@@ -255,7 +255,8 @@ def test_criterion_9_cohort_conservation(capsys, cli_bundle, tmp_path):
         )
         result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
         digest = corpus_digest(config.papers, config.mentorships)
-        stage = build_profiles(result.index, result.mentorships, config, digest, tmp_path / "cache")
+        cache = Cache(tmp_path / "cache", digest, config)
+        stage = build_profiles(result.index, result.mentorships, config, cache)
         assert stage.profiles and not stage.failures
 
         for p in stage.profiles:

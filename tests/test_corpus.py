@@ -1,11 +1,7 @@
 """Ingestion, validation, and citation index behavior."""
 
 import json
-import tempfile
-from collections import Counter
-from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,15 +9,12 @@ from cocite.corpus import (
     CitationIndex,
     CohortFlags,
     IngestConfig,
-    IngestResult,
-    MentorshipRecord,
     cohort_flags,
     ingest_corpus,
 )
 from cocite.errors import DuplicatePaperId, EmptyCorpus, MalformedRecord
-from cocite.pipeline import IngestCache
 
-from helpers import dict_index, index_as_dicts, make_index, paper
+from helpers import dict_index, index_as_dicts, make_index, paper, paper_number
 
 
 def write_corpus(tmp_path, papers, mentorships):
@@ -80,7 +73,7 @@ class TestIngest:
         ]
         ppath, mpath = write_corpus(tmp_path, papers, [mship_obj("a1", "a2")])
         result = ingest_corpus(ppath, mpath, BASE_CFG)
-        assert result.index.paper("p1") is None
+        assert paper_number(result.index, "p1") is None
         assert result.report["papers", "year_out_of_window"] == 1
         assert result.report["papers", "ingested"] == 2
 
@@ -192,7 +185,7 @@ class TestIndex:
     def test_dangling_refs_never_enter_cited_by(self):
         idx = make_index(paper("p1", "a", refs=("ghost",)), paper("p2", "b", refs=("p1", "ghost")))
         assert index_as_dicts(idx).cited_by_map == {"p1": ("p2",), "p2": ()}
-        assert idx.paper("ghost") is None
+        assert paper_number(idx, "ghost") is None
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -241,9 +234,9 @@ class TestIndex:
         assert idx.author_ids == sorted(oracle.author_papers)
         # Sorting numbers sorts ids.
         subset = data.draw(st.lists(st.sampled_from(ids), unique=True))
-        assert [idx.paper_ids[p] for p in sorted(map(idx.paper, subset))] == sorted(subset)
+        assert [idx.paper_ids[p] for p in sorted(paper_number(idx, pid) for pid in subset)] == sorted(subset)
         for g in ghosts:
-            assert idx.paper(g) is None
+            assert paper_number(idx, g) is None
             assert idx.author(g) is None
             assert idx.paper_count(g) == 0
         for a, papers in oracle.author_papers.items():
@@ -253,71 +246,7 @@ class TestIndex:
         for pid, citers in oracle.cited_by_map.items():
             year = oracle.pub_year[pid]
             expected = sum(1 for c in citers if 0 <= oracle.pub_year[c] - year <= window)
-            assert windowed[idx.paper(pid)] == expected
-
-
-def index_arrays(index):
-    return {
-        "pub_year": index.pub_year,
-        **{
-            f"{rows}.{part}": getattr(getattr(index, rows), part)
-            for rows in ("cited_by", "author_papers", "paper_authors")
-            for part in ("indptr", "indices")
-        },
-    }
-
-
-class TestIngestCache:
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_store_then_load_round_trips(self, data):
-        # Ids hold non-ASCII characters, NUL, a line break and a lone
-        # surrogate, any of which a JSON string may hold. Authors repeat,
-        # references may point to ids with no record, and may be empty.
-        ident = st.text(alphabet="a9\u00e9\u4e2d\U0001f600\x00\n\ud800", min_size=1, max_size=4)
-        ids = data.draw(st.lists(ident, min_size=1, max_size=10, unique=True))
-        authors = data.draw(st.lists(ident, min_size=1, max_size=5, unique=True))
-        ghosts = ["ghost", "\ud800ghost"]
-        records = [
-            paper(
-                pid,
-                tuple(data.draw(st.lists(st.sampled_from(authors), min_size=1, max_size=4))),
-                year=data.draw(st.integers(1960, 2021)),
-                refs=tuple(
-                    r
-                    for r in data.draw(st.lists(st.sampled_from(ids + ghosts), max_size=5, unique=True))
-                    if r != pid
-                ),
-            )
-            for pid in ids
-        ]
-        mentorship = st.builds(MentorshipRecord, ident, ident, st.none() | st.integers(1900, 2100), ident)
-        mentorships = data.draw(st.lists(mentorship, max_size=4))
-        report = Counter(data.draw(st.dictionaries(st.tuples(ident, ident), st.integers(0, 10**6), max_size=4)))
-        stored = IngestResult(CitationIndex(records), mentorships, report)
-
-        with tempfile.TemporaryDirectory() as tmp:
-            cache = IngestCache(Path(tmp) / "ingest.npz", "key")
-            cache.store(stored)
-            loaded = cache.load()
-            assert cache.status == "hit"
-            other = IngestCache(cache.path, "another key")
-            assert other.load() is None and other.status == "miss"
-
-        for name, array in index_arrays(stored.index).items():
-            got = index_arrays(loaded.index)[name]
-            assert got.dtype == array.dtype and np.array_equal(got, array), name
-        for name in ("paper_ids", "author_ids"):
-            got = getattr(loaded.index, name)
-            assert type(got) is list and all(type(i) is str for i in got)
-            assert got == getattr(stored.index, name)
-        assert loaded.index._windowed == {}
-        assert loaded.mentorships == mentorships
-        assert loaded.report == report
-
-    def test_missing_file_is_a_miss(self, tmp_path):
-        cache = IngestCache(tmp_path / "ingest.npz", "key")
-        assert cache.load() is None and cache.status == "miss"
+            assert windowed[paper_number(idx, pid)] == expected
 
 
 class TestCohortFlags:
@@ -352,5 +281,5 @@ class TestFiveYearCitations:
             paper("c6", "x3", year=2006, refs=("p",)),
             paper("cpast", "x4", year=1999, refs=("p",)),
         )
-        assert idx.windowed_citations(5)[idx.paper("p")] == 2
-        assert idx.windowed_citations(6)[idx.paper("p")] == 3
+        assert idx.windowed_citations(5)[paper_number(idx, "p")] == 2
+        assert idx.windowed_citations(6)[paper_number(idx, "p")] == 3

@@ -10,7 +10,15 @@ from cocite.community import TopicAssignment
 from cocite.impact import allocate_impact, cociting_pool
 from cocite.pairgraph import MENTEE_SIDE
 
-from helpers import make_index, numbered_assignment, oracle_impact, pair_graph, paper, random_pair_corpus
+from helpers import (
+    make_index,
+    numbered_assignment,
+    oracle_impact,
+    pair_graph,
+    paper,
+    paper_number,
+    random_pair_corpus,
+)
 
 
 def assignment_for(topics):
@@ -50,7 +58,7 @@ def hand_fixture():
 class TestHandValues:
     def test_pool_membership(self):
         index, _, _ = hand_fixture()
-        pool, w = cociting_pool(np.array([index.paper(p) for p in ("e1", "r1", "j1")]), index)
+        pool, w = cociting_pool(np.array([paper_number(index, p) for p in ("e1", "r1", "j1")]), index)
         assert ids(index, pool) == ["c1", "c2", "c4"]
         assert w.tolist() == [2, 2, 2]
 

@@ -6,19 +6,22 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cocite.corpus
 import cocite.pipeline
 import cocite.profiles
 from cocite.errors import InvalidConfig, NoFinitePaths
 from cocite.pipeline import (
-    IngestCache,
+    Cache,
     PipelineConfig,
     apply_config_values,
     assign_elites,
@@ -32,8 +35,10 @@ from cocite.pipeline import (
     run_pipeline,
     write_csv,
 )
-from cocite.corpus import MentorshipRecord, ingest_corpus
+from cocite.corpus import CitationIndex, IngestResult, MentorshipRecord, ingest_corpus
 from cocite.synth import SynthConfig, synthesize_corpus, write_corpus
+
+from helpers import paper
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -208,11 +213,11 @@ class TestBuildProfiles:
         digest = corpus_digest(config.papers, config.mentorships)
         cache = tmp_path / "cache"
 
-        cold = build_profiles(result.index, result.mentorships, config, digest, cache)
+        cold = build_profiles(result.index, result.mentorships, config, Cache(cache, digest, config))
         assert cold.cache_hits == 0
         assert cold.cache_misses == len(result.mentorships)
 
-        warm = build_profiles(result.index, result.mentorships, config, digest, cache)
+        warm = build_profiles(result.index, result.mentorships, config, Cache(cache, digest, config))
         assert warm.cache_hits == len(result.mentorships)
         assert warm.cache_misses == 0
         assert warm.profiles == cold.profiles
@@ -223,7 +228,7 @@ class TestBuildProfiles:
             config = make_config(corpus_dir, tmp_path, **kwargs)
             result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
             digest = corpus_digest(config.papers, config.mentorships)
-            stage = build_profiles(result.index, result.mentorships, config, digest, cache)
+            stage = build_profiles(result.index, result.mentorships, config, Cache(cache, digest, config))
             assert stage.cache_hits == 0
             assert stage.cache_misses == len(result.mentorships) > 0
 
@@ -232,7 +237,7 @@ class TestBuildProfiles:
         result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
         digest = corpus_digest(config.papers, config.mentorships)
         shuffled = list(reversed(result.mentorships))
-        stage = build_profiles(result.index, shuffled, config, digest, tmp_path / "cache")
+        stage = build_profiles(result.index, shuffled, config, Cache(tmp_path / "cache", digest, config))
         keys = [(p.field, p.mentor_id, p.mentee_id) for p in stage.profiles]
         assert keys == sorted(keys)
 
@@ -242,7 +247,8 @@ class TestElites:
         config = make_config(corpus_dir, tmp_path, top_fraction=0.5)
         result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
         digest = corpus_digest(config.papers, config.mentorships)
-        stage = build_profiles(result.index, result.mentorships, config, digest, tmp_path / "cache")
+        cache = Cache(tmp_path / "cache", digest, config)
+        stage = build_profiles(result.index, result.mentorships, config, cache)
         assign_elites(stage.profiles, config)
         assert all(p.is_elite is not None for p in stage.profiles)
         assert all(p.outperforming is not None for p in stage.profiles)
@@ -317,7 +323,8 @@ class TestTables:
         config = make_config(corpus_dir, tmp_path)
         result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
         digest = corpus_digest(config.papers, config.mentorships)
-        stage = build_profiles(result.index, result.mentorships, config, digest, tmp_path / "cache")
+        cache = Cache(tmp_path / "cache", digest, config)
+        stage = build_profiles(result.index, result.mentorships, config, cache)
         header, rows = profile_table(stage.profiles)
         for required in ("R", "C_e_total", "C_r_total", "ave_distance", "strategy"):
             assert required in header
@@ -328,7 +335,8 @@ class TestTables:
         config = make_config(corpus_dir, tmp_path)
         result = ingest_corpus(config.papers, config.mentorships, config.ingest_config())
         digest = corpus_digest(config.papers, config.mentorships)
-        stage = build_profiles(result.index, result.mentorships, config, digest, tmp_path / "cache")
+        cache = Cache(tmp_path / "cache", digest, config)
+        stage = build_profiles(result.index, result.mentorships, config, cache)
         open_table = regression_table(
             stage.profiles, make_config(corpus_dir, tmp_path, regression_30y=False)
         )
@@ -457,20 +465,6 @@ class TestRunPipeline:
         rows = read_dicts(result.out_dir / "profiles.csv")
         assert list(map(per_pair, rows)) == list(map(per_pair, fresh_rows[1:]))
 
-    def test_cache_entries_with_dropped_fields_are_hits(self, corpus_dir, tmp_path):
-        # Entries written while profiles still held distance_failed and
-        # mentor_citation_total decode to the same profiles.
-        out = tmp_path / "run"
-        cold = run_pipeline(make_config(corpus_dir, out))
-        cold_manifest = cold.manifest_path.read_bytes()
-        for entry in (out / "cache").glob("*.json"):
-            d = json.loads(entry.read_text())
-            d |= {"distance_failed": False, "mentor_citation_total": d["mto_citation_impact"]}
-            entry.write_text(json.dumps(d, sort_keys=True))
-        warm = run_pipeline(make_config(corpus_dir, out))
-        assert (warm.cache_hits, warm.cache_misses) == (cold.n_profiles, 0)
-        assert warm.manifest_path.read_bytes() == cold_manifest
-
     def test_cohort_setting_reuses_cache(self, corpus_dir, tmp_path):
         warm_dir = tmp_path / "warm"
         run_pipeline(make_config(corpus_dir, warm_dir))
@@ -486,7 +480,7 @@ class TestRunPipeline:
         result = run_pipeline(make_config(corpus_dir, out, gamma=2.0))
         assert result.cache_misses == result.n_profiles > 0
         assert len(list((out / "cache").iterdir())) == result.n_profiles + 1
-        assert (out / "cache" / "ingest.npz").is_file()
+        assert ingest_entry(make_config(corpus_dir, out)).is_file()
         again = run_pipeline(make_config(corpus_dir, out, gamma=2.0))
         assert (again.cache_hits, again.cache_misses) == (result.n_profiles, 0)
 
@@ -528,7 +522,7 @@ class TestRunPipeline:
             f"{pair_cache_key(corpus_digest(config.papers, config.mentorships), m, config)}.json"
             for m in ordered[: k - 1]
         }
-        assert {path.name for path in cache.iterdir()} == expected | {"ingest.npz"}
+        assert {path.name for path in cache.iterdir()} == expected | {ingest_entry(config).name}
         assert not (tmp_path / "run" / "profiles.csv").exists()
 
         monkeypatch.undo()
@@ -553,7 +547,7 @@ class TestRunPipeline:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cocite.pipeline, "build_pair_profile", slow)
-        monkeypatch.setattr(cocite.pipeline.PairCache, "store", interrupt)
+        monkeypatch.setattr(cocite.pipeline.Cache, "store_profile", interrupt)
         with pytest.raises(KeyboardInterrupt):
             run_pipeline(make_config(corpus, tmp_path / "run", workers=2))
         # The interrupt cancels every pair not yet handed to a worker, so
@@ -573,7 +567,8 @@ class TestRunPipeline:
         assert n_deleted > 0
         assert (pooled.cache_hits, pooled.cache_misses) == (len(entries) - n_deleted, n_deleted)
         assert pooled.manifest_path.read_bytes() == cold_manifest
-        assert sorted((out / "cache").iterdir()) == sorted([*entries, out / "cache" / "ingest.npz"])
+        expected = [*entries, ingest_entry(make_config(corpus_dir, out))]
+        assert sorted((out / "cache").iterdir()) == sorted(expected)
 
     def test_pool_workers_do_not_reingest(self, corpus_dir, tmp_path, monkeypatch):
         parent = os.getpid()
@@ -652,7 +647,7 @@ import json, sys
 from pathlib import Path
 
 import cocite
-from cocite.pipeline import PipelineConfig, assign_elites, build_profiles, cohort_outputs, corpus_digest
+from cocite.pipeline import Cache, PipelineConfig, assign_elites, build_profiles, cohort_outputs, corpus_digest
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -662,7 +657,8 @@ config = PipelineConfig(papers=papers, mentorships=mentorships, out=out)
 ingested = cocite.ingest_corpus(papers, mentorships, config.ingest_config())
 after_ingest = scipy_modules()
 digest = corpus_digest(papers, mentorships)
-stage = build_profiles(ingested.index, ingested.mentorships, config, digest, Path(out) / "cache")
+cache = Cache(Path(out) / "cache", digest, config)
+stage = build_profiles(ingested.index, ingested.mentorships, config, cache)
 after_stage = scipy_modules()
 assign_elites(stage.profiles, config)
 _, empty = cohort_outputs(stage.profiles, config, Path(out))
@@ -696,6 +692,12 @@ def run_stats(out):
     return json.loads((out / "run_stats.json").read_text())
 
 
+def ingest_entry(config):
+    """The ingest entry that a run with `config` reads and writes."""
+    digest = corpus_digest(config.papers, config.mentorships)
+    return Path(config.out) / "cache" / f"{ingest_cache_key(digest, config)}.npz"
+
+
 def edit_entry(edit):
     """A damage that stores the entry again after `edit(members)`."""
 
@@ -723,6 +725,17 @@ def flip_middle_byte(path):
     path.write_bytes(bytes(data))
 
 
+def index_arrays(index):
+    return {
+        "pub_year": index.pub_year,
+        **{
+            f"{rows}.{part}": getattr(getattr(index, rows), part)
+            for rows in ("cited_by", "author_papers", "paper_authors")
+            for part in ("indptr", "indices")
+        },
+    }
+
+
 ENTRY_DAMAGE = {
     "truncated": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
     "garbage": lambda path: path.write_bytes(b"not an ingest entry"),
@@ -741,6 +754,57 @@ ENTRY_DAMAGE = {
 
 
 class TestIngestCache:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_store_then_load_round_trips(self, data):
+        # Ids hold non-ASCII characters, NUL, a line break and a lone
+        # surrogate, any of which a JSON string may hold. Authors repeat,
+        # references may point to ids with no record, and may be empty.
+        ident = st.text(alphabet="a9\u00e9\u4e2d\U0001f600\x00\n\ud800", min_size=1, max_size=4)
+        ids = data.draw(st.lists(ident, min_size=1, max_size=10, unique=True))
+        authors = data.draw(st.lists(ident, min_size=1, max_size=5, unique=True))
+        ghosts = ["ghost", "\ud800ghost"]
+        records = [
+            paper(
+                pid,
+                tuple(data.draw(st.lists(st.sampled_from(authors), min_size=1, max_size=4))),
+                year=data.draw(st.integers(1960, 2021)),
+                refs=tuple(
+                    r
+                    for r in data.draw(st.lists(st.sampled_from(ids + ghosts), max_size=5, unique=True))
+                    if r != pid
+                ),
+            )
+            for pid in ids
+        ]
+        mentorship = st.builds(MentorshipRecord, ident, ident, st.none() | st.integers(1900, 2100), ident)
+        mentorships = data.draw(st.lists(mentorship, max_size=4))
+        report = Counter(data.draw(st.dictionaries(st.tuples(ident, ident), st.integers(0, 10**6), max_size=4)))
+        stored = IngestResult(CitationIndex(records), mentorships, report)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = Cache(Path(tmp), "0" * 64, PipelineConfig())
+            cache.store_ingest(stored)
+            loaded = cache.load_ingest()
+            assert cache.lookups == {cache.ingest_name: "hit"}
+            other = Cache(cache.dir, "1" * 64, PipelineConfig())
+            assert other.load_ingest() is None and other.lookups == {other.ingest_name: "miss"}
+
+        for name, array in index_arrays(stored.index).items():
+            got = index_arrays(loaded.index)[name]
+            assert got.dtype == array.dtype and np.array_equal(got, array), name
+        for name in ("paper_ids", "author_ids"):
+            got = getattr(loaded.index, name)
+            assert type(got) is list and all(type(i) is str for i in got)
+            assert got == getattr(stored.index, name)
+        assert loaded.index._windowed == {}
+        assert loaded.mentorships == mentorships
+        assert loaded.report == report
+
+    def test_missing_file_is_a_miss(self, tmp_path):
+        cache = Cache(tmp_path, "0" * 64, PipelineConfig())
+        assert cache.load_ingest() is None and cache.lookups == {cache.ingest_name: "miss"}
+
     def test_warm_run_does_not_parse_the_corpus(self, corpus_dir, tmp_path, monkeypatch):
         out = tmp_path / "run"
         cold = run_pipeline(make_config(corpus_dir, out))
@@ -782,10 +846,12 @@ class TestIngestCache:
         changed = make_config(corpus_dir, out, **{key: value})
         run_pipeline(changed)
         assert run_stats(out)["ingest_cache"] == "miss"
-        digest = corpus_digest(changed.papers, changed.mentorships)
-        slot = IngestCache(out / "cache" / "ingest.npz", ingest_cache_key(digest, changed))
-        assert slot.load() is not None and slot.status == "hit"
-        assert [path.name for path in (out / "cache").iterdir() if path.suffix != ".json"] == ["ingest.npz"]
+        cache = Cache(out / "cache", corpus_digest(changed.papers, changed.mentorships), changed)
+        assert cache.load_ingest() is not None and cache.lookups == {cache.ingest_name: "hit"}
+        # The complete pair stage pruned the entry of the old settings.
+        assert [path for path in (out / "cache").iterdir() if path.suffix != ".json"] == [
+            ingest_entry(changed)
+        ]
         fresh = run_pipeline(make_config(corpus_dir, tmp_path / "fresh", **{key: value}))
         assert (out / "manifest.json").read_bytes() == fresh.manifest_path.read_bytes()
 
@@ -793,7 +859,7 @@ class TestIngestCache:
     def test_damaged_entry_is_reparsed_counted_and_overwritten(self, corpus_dir, tmp_path, damage):
         out = tmp_path / "run"
         cold = run_pipeline(make_config(corpus_dir, out))
-        damage(out / "cache" / "ingest.npz")
+        damage(ingest_entry(make_config(corpus_dir, out)))
 
         warm = run_pipeline(make_config(corpus_dir, out))
         stats = run_stats(out)
@@ -809,7 +875,7 @@ class TestIngestCache:
         cold = run_pipeline(make_config(corpus_dir, out))
         pair_entry = sorted((out / "cache").glob("*.json"))[0]
         pair_entry.write_bytes(pair_entry.read_bytes()[:100])
-        flip_middle_byte(out / "cache" / "ingest.npz")
+        flip_middle_byte(ingest_entry(make_config(corpus_dir, out)))
 
         warm = run_pipeline(make_config(corpus_dir, out))
         stats = run_stats(out)
@@ -821,8 +887,32 @@ class TestIngestCache:
         # As a cache filled before the ingest entry existed.
         out = tmp_path / "run"
         cold = run_pipeline(make_config(corpus_dir, out))
-        (out / "cache" / "ingest.npz").unlink()
+        ingest_entry(make_config(corpus_dir, out)).unlink()
         warm = run_pipeline(make_config(corpus_dir, out))
         assert run_stats(out)["ingest_cache"] == "miss"
         assert (warm.cache_hits, warm.cache_misses) == (cold.cache_misses, 0)
-        assert (out / "cache" / "ingest.npz").is_file()
+        assert ingest_entry(make_config(corpus_dir, out)).is_file()
+
+    def test_stale_entries_stay_until_a_pair_stage_completes(self, corpus_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        (out / "cache").mkdir(parents=True)
+        (out / "cache" / "notes.txt").write_text("kept")
+        first = make_config(corpus_dir, out)
+        run_pipeline(first)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        changed = make_config(corpus_dir, out, min_papers=5)
+        monkeypatch.setattr(cocite.pipeline, "build_pair_profile", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(changed)
+        assert ingest_entry(changed) != ingest_entry(first)
+        assert sorted((out / "cache").glob("*.npz")) == sorted([ingest_entry(first), ingest_entry(changed)])
+
+        monkeypatch.undo()
+        result = run_pipeline(changed)
+        assert run_stats(out)["ingest_cache"] == "hit"
+        assert result.cache_misses == result.n_profiles > 0
+        assert list((out / "cache").glob("*.npz")) == [ingest_entry(changed)]
+        assert (out / "cache" / "notes.txt").read_text() == "kept"
