@@ -118,12 +118,11 @@ class CitationIndex:
 
     The ids are numbered in one pass over the records, as they stream in,
     and renumbered into sorted order once the stream ends. Afterwards the
-    index is read-only and may be shared freely across forked workers.
+    index has no mutable state and may be shared freely across forked
+    workers.
     """
 
-    __slots__ = (
-        "paper_ids", "author_ids", "pub_year", "cited_by", "author_papers", "paper_authors", "_windowed"
-    )
+    __slots__ = ("paper_ids", "author_ids", "pub_year", "cited_by", "author_papers", "paper_authors")
 
     def __init__(self, records: Iterable[PaperRecord]):
         paper_no: dict[str, int] = {}  # every id seen, as a record or a reference
@@ -188,7 +187,6 @@ class CitationIndex:
         author = self.paper_authors.indices
         by_author = np.lexsort((paper_of, self.pub_year[paper_of], author))
         self.author_papers = _compress(author[by_author], paper_of[by_author], len(self.author_ids))
-        self._windowed: dict[int, np.ndarray] = {}
 
     @classmethod
     def from_arrays(
@@ -204,7 +202,6 @@ class CitationIndex:
         self = cls.__new__(cls)
         self.paper_ids, self.author_ids, self.pub_year = paper_ids, author_ids, pub_year
         self.cited_by, self.author_papers, self.paper_authors = cited_by, author_papers, paper_authors
-        self._windowed = {}
         return self
 
     @property
@@ -219,20 +216,6 @@ class CitationIndex:
         """How many papers the author with this id wrote."""
         a = self.author(author_id)
         return 0 if a is None else len(self.author_papers[a])
-
-    def windowed_citations(self, window: int) -> np.ndarray:
-        """Citations each paper received within ``window`` years of its
-        publication, inclusive, computed once per window.
-
-        Citing papers whose year precedes the cited paper's year are treated
-        as data noise and excluded from the count (they stay in the graph).
-        """
-        if window not in self._windowed:
-            cited = np.repeat(np.arange(self.n_papers), np.diff(self.cited_by.indptr))
-            offset = self.pub_year[self.cited_by.indices] - self.pub_year[cited]
-            inside = cited[(offset >= 0) & (offset <= window)]
-            self._windowed[window] = np.bincount(inside, minlength=self.n_papers)
-        return self._windowed[window]
 
 
 def _find(ids: list[str], key: str) -> int | None:
@@ -422,3 +405,16 @@ def cohort_flags(author: int, index: CitationIndex) -> CohortFlags:
         pre_1990_starter=first < 1990,
         career_30y=career_len >= 30,
     )
+
+
+def author_citation_total(author: int, index: CitationIndex, window: int) -> int:
+    """Citations to one author's papers made within `window` years of the
+    cited paper's publication, inclusive.
+
+    A citing paper dated before the paper it cites is data noise and is not
+    counted (it stays in the graph).
+    """
+    papers = index.author_papers[author]
+    cited_year = np.repeat(index.pub_year[papers], index.cited_by.lengths(papers))
+    offset = index.pub_year[index.cited_by.take(papers)] - cited_year
+    return int(((offset >= 0) & (offset <= window)).sum())

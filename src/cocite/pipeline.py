@@ -91,16 +91,9 @@ class PipelineConfig(PairParams, IngestConfig):
     def pair_params(self) -> PairParams:
         return self._subset(PairParams)
 
-    def analysis_items(self) -> list[tuple[str, object]]:
-        items = []
-        for f in dc_fields(self):
-            if f.name in self._VOLATILE:
-                continue
-            items.append((f.name, getattr(self, f.name)))
-        return sorted(items)
-
     def config_hash(self) -> str:
-        canon = json.dumps(self.analysis_items(), sort_keys=True)
+        items = sorted((f.name, getattr(self, f.name)) for f in dc_fields(self) if f.name not in self._VOLATILE)
+        canon = json.dumps(items, sort_keys=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 

@@ -23,14 +23,13 @@ from .career import (
     typed_contributions,
 )
 from .community import DetectionConfig, detect_topics
-from .corpus import CitationIndex, MentorshipRecord, cohort_flags
+from .corpus import CitationIndex, MentorshipRecord, author_citation_total, cohort_flags
 from .distance import average_distance
 from .impact import allocate_impact
 from .pairgraph import Authorship, build_pair_graph, pair_authors
 from .topics import (
     Strategy,
     TopicType,
-    author_citation_total,
     classify_strategy,
     classify_topics,
 )

@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Hashable, Iterable
 
 from .community import TopicAssignment
-from .corpus import CitationIndex
 from .errors import MenteeNoTopics, NoRetainedTopics
 from .pairgraph import MENTEE_SIDE, MENTOR_SIDE, PairGraph
 
@@ -139,9 +138,4 @@ def classify_strategy(typing: TopicTyping) -> StrategyRecord:
         n_new=n_new,
         new_topic_ratio=n_new / (n_new + n_shared),
     )
-
-
-def author_citation_total(author: int, index: CitationIndex, window: int = 5) -> int:
-    """Sum of windowed citation counts over all of one author's papers."""
-    return int(index.windowed_citations(window)[index.author_papers[author]].sum())
 

@@ -9,6 +9,7 @@ from cocite.corpus import (
     CitationIndex,
     CohortFlags,
     IngestConfig,
+    author_citation_total,
     cohort_flags,
     ingest_corpus,
 )
@@ -136,13 +137,15 @@ class TestIngest:
         assert exc.value.line_no == 1
 
     def test_invalid_json_line_number(self, tmp_path):
+        # Blank lines are skipped, and the lines after them keep their numbers.
         ppath = tmp_path / "papers.jsonl"
-        ppath.write_text(json.dumps(paper_obj("p1", ["a"])) + "\n{not json\n")
         mpath = tmp_path / "m.jsonl"
         mpath.write_text(json.dumps(mship_obj("a", "b")) + "\n")
-        with pytest.raises(MalformedRecord) as exc:
-            ingest_corpus(ppath, mpath, BASE_CFG)
-        assert exc.value.line_no == 2
+        for gap, line_no in (("", 2), ("\n  \n", 4)):
+            ppath.write_text(json.dumps(paper_obj("p1", ["a"])) + "\n" + gap + "{not json\n")
+            with pytest.raises(MalformedRecord) as exc:
+                ingest_corpus(ppath, mpath, BASE_CFG)
+            assert exc.value.line_no == line_no
 
     def test_duplicate_paper_id(self, tmp_path):
         # In the second corpus the year window drops the first copy.
@@ -159,11 +162,23 @@ class TestIngest:
         with pytest.raises(MalformedRecord):
             ingest_corpus(ppath, mpath, BASE_CFG)
 
+    @pytest.mark.parametrize("key", ["mentor_id", "mentee_id", "start_year", "field"])
+    def test_mentorship_missing_key(self, tmp_path, key):
+        bad = {k: v for k, v in mship_obj("a", "b").items() if k != key}
+        ppath, mpath = write_corpus(tmp_path, [paper_obj("p1", ["a"])], [mship_obj("a", "b"), bad])
+        with pytest.raises(MalformedRecord) as exc:
+            ingest_corpus(ppath, mpath, BASE_CFG)
+        assert (exc.value.line_no, exc.value.reason) == (2, f"missing key {key}")
+
     def test_empty_corpus(self, tmp_path):
         ppath, mpath = write_corpus(
             tmp_path, [paper_obj("p1", ["a"], 1900)], [mship_obj("a", "b")]
         )
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(EmptyCorpus, match="no paper records"):
+            ingest_corpus(ppath, mpath, BASE_CFG)
+        # A mentorships file with no records, only a blank line.
+        ppath, mpath = write_corpus(tmp_path, [paper_obj("p1", ["a"])], [])
+        with pytest.raises(EmptyCorpus, match="no mentorship records"):
             ingest_corpus(ppath, mpath, BASE_CFG)
 
     def test_null_start_year_allowed(self, tmp_path):
@@ -242,11 +257,14 @@ class TestIndex:
         for a, papers in oracle.author_papers.items():
             assert idx.paper_count(a) == len(papers)
         window = data.draw(st.integers(0, 10))
-        windowed = idx.windowed_citations(window)
-        for pid, citers in oracle.cited_by_map.items():
-            year = oracle.pub_year[pid]
-            expected = sum(1 for c in citers if 0 <= oracle.pub_year[c] - year <= window)
-            assert windowed[paper_number(idx, pid)] == expected
+        for a, papers in oracle.author_papers.items():
+            expected = sum(
+                1
+                for pid in papers
+                for c in oracle.cited_by_map[pid]
+                if 0 <= oracle.pub_year[c] - oracle.pub_year[pid] <= window
+            )
+            assert author_citation_total(idx.author(a), idx, window) == expected
 
 
 class TestCohortFlags:
@@ -281,5 +299,5 @@ class TestFiveYearCitations:
             paper("c6", "x3", year=2006, refs=("p",)),
             paper("cpast", "x4", year=1999, refs=("p",)),
         )
-        assert idx.windowed_citations(5)[paper_number(idx, "p")] == 2
-        assert idx.windowed_citations(6)[paper_number(idx, "p")] == 3
+        assert author_citation_total(idx.author("a"), idx, 5) == 2
+        assert author_citation_total(idx.author("a"), idx, 6) == 3

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,11 +22,13 @@ import cocite.pipeline
 import cocite.profiles
 from cocite.errors import InvalidConfig, NoFinitePaths
 from cocite.pipeline import (
+    SETTING_BOUNDS,
     Cache,
     PipelineConfig,
     apply_config_values,
     assign_elites,
     build_profiles,
+    check_setting,
     corpus_digest,
     ingest_cache_key,
     load_config_file,
@@ -35,7 +38,8 @@ from cocite.pipeline import (
     run_pipeline,
     write_csv,
 )
-from cocite.corpus import CitationIndex, IngestResult, MentorshipRecord, ingest_corpus
+from cocite.corpus import CitationIndex, IngestConfig, IngestResult, MentorshipRecord, ingest_corpus
+from cocite.profiles import PairParams
 from cocite.synth import SynthConfig, synthesize_corpus, write_corpus
 
 from helpers import paper
@@ -88,6 +92,32 @@ class TestConfig:
         a = PipelineConfig()
         b = PipelineConfig(gamma=1.5)
         assert a.config_hash() != b.config_hash()
+
+    def test_every_setting_moves_exactly_its_keys(self):
+        # One valid value other than the default for every setting.
+        changed = {
+            "min_papers": 5, "year_min": 1970, "year_max": 2005, "field": "fieldA",
+            "gamma": 2.0, "seed": 3, "min_community_size": 4,
+            "exclude_self_cocitation": True, "include_joint_self_pairs": False, "citation_window": 3,
+            "papers": "p.jsonl", "mentorships": "m.jsonl", "out": "o",
+            "top_fraction": 0.3, "elite_global": True, "n_bins": 10, "log1p_outcome": True,
+            "regression_30y": False, "workers": 2,
+        }
+        assert list(changed) == [f.name for f in fields(PipelineConfig)]
+        ingest = {f.name for f in fields(IngestConfig)}
+        pair = ingest | {f.name for f in fields(PairParams)}
+        base = PipelineConfig()
+        m = MentorshipRecord("mto0", "mte0", None, "fieldA")
+        for name, value in changed.items():
+            check_setting(value, SETTING_BOUNDS[name])
+            assert value != getattr(base, name), name
+            config = PipelineConfig(**{name: value})
+            moved = (
+                ingest_cache_key("0" * 64, config) != ingest_cache_key("0" * 64, base),
+                pair_cache_key("0" * 64, m, config) != pair_cache_key("0" * 64, m, base),
+                config.config_hash() != base.config_hash(),
+            )
+            assert moved == (name in ingest, name in pair, name not in PipelineConfig._VOLATILE), name
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -797,7 +827,6 @@ class TestIngestCache:
             got = getattr(loaded.index, name)
             assert type(got) is list and all(type(i) is str for i in got)
             assert got == getattr(stored.index, name)
-        assert loaded.index._windowed == {}
         assert loaded.mentorships == mentorships
         assert loaded.report == report
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from cocite.corpus import CitationIndex, MentorshipRecord
 from cocite.errors import CociteError, EmptyPair, NoRetainedTopics
-from cocite.pipeline import PipelineConfig
 from cocite.profiles import PairParams, PairProfile, build_pair_profile
 from cocite.synth import SynthConfig, synthesize_corpus
 from cocite.topics import TopicType
@@ -183,12 +182,6 @@ class TestDistanceStage:
 
 
 class TestParams:
-    def test_param_dict_lists_every_knob(self):
-        # Every per-pair knob is a hashed analysis setting of the pipeline
-        # config, so the cache key (which covers the config hash) covers it.
-        analysis = dict(PipelineConfig().analysis_items())
-        assert {f.name for f in fields(PairParams)} <= set(analysis)
-
     def test_self_cocitation_knob_changes_the_graph(self, built):
         corpus, profiles = built
         index = CitationIndex(corpus.papers)

@@ -1,6 +1,7 @@
 """Smoke tests of the example and benchmark scripts, run as a user would
 run them."""
 
+import ast
 import json
 import os
 import subprocess
@@ -152,3 +153,17 @@ def test_benchmark_setup_probe(synth_corpus):
     proc = run_script("setup_probe.py", *map(str, synth_corpus), folder="benchmark")
     assert proc.returncode == 0, proc.stderr
     float(proc.stdout)
+
+
+def test_sources_parse_as_python_3_10():
+    """Every .py file of the repo parses under Python 3.10's grammar, the
+    oldest that pyproject.toml allows, so syntax such as `except*` or
+    3.12 type-parameter lists fails here first.
+
+    This checks grammar only: a library API missing from 3.10 or from the
+    oldest numpy or SciPy still passes.
+    """
+    sources = [p for folder in ("src", "tests", "benchmark", "scripts") for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(sources) > 30
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

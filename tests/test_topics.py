@@ -3,12 +3,12 @@
 import pytest
 
 from cocite.community import TopicAssignment
+from cocite.corpus import author_citation_total
 from cocite.errors import MenteeNoTopics, NoRetainedTopics
 from cocite.pairgraph import Authorship
 from cocite.topics import (
     Strategy,
     TopicType,
-    author_citation_total,
     classify_strategy,
     classify_topics,
 )
