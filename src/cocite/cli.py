@@ -19,7 +19,7 @@ from typing import Any
 from . import __version__
 from .corpus import IngestConfig, MentorshipRecord, ingest_corpus
 from .distance import DistanceResult
-from .errors import CociteError
+from .errors import CociteError, InvalidConfig
 from .pairgraph import PairGraph, edge_sources
 from .pipeline import (
     CAREER_COLUMNS,
@@ -157,6 +157,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_pair(args: argparse.Namespace) -> int:
+    if args.mentor == args.mentee:
+        raise InvalidConfig(f"--mentor and --mentee are both {args.mentor!r}")
     config = config_from_args(args)
     index = ingest_corpus(config.papers, config.mentorships, config.ingest_config()).index
     # No pair file shows the record's field or start year, so the pair need

@@ -18,14 +18,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import DuplicatePaperId, EmptyCorpus, MalformedRecord
-
-if TYPE_CHECKING:
-    from .pipeline import Cache
 
 # Hard validity bounds for any year value; records outside raise MalformedRecord.
 # The (narrower) ingest window in IngestConfig drops records silently and counts
@@ -236,6 +233,16 @@ def _require(cond: bool, line_no: int, reason: str) -> None:
         raise MalformedRecord(line_no, reason)
 
 
+def _check_encodable(value: str, line_no: int, name: str) -> None:
+    """An id or field reaches the outputs, which are UTF-8, so it must not
+    hold a lone surrogate (a JSON escape such as \\ud800)."""
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedRecord(line_no, f"{name} holds a lone surrogate") from None
+
+
 def _check_year(value, line_no: int, name: str) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool), line_no, f"{name} must be an integer")
     _require(VALID_YEAR_MIN <= value <= VALID_YEAR_MAX, line_no, f"{name} {value} outside [{VALID_YEAR_MIN}, {VALID_YEAR_MAX}]")
@@ -253,6 +260,7 @@ def _parse_paper(obj, line_no: int, report: Counter[tuple[str, str]]) -> PaperRe
     except KeyError as exc:
         raise MalformedRecord(line_no, f"missing key {exc.args[0]}") from None
     _require(isinstance(paper_id, str) and paper_id != "", line_no, "paper_id must be a non-empty string")
+    _check_encodable(paper_id, line_no, "paper_id")
     _require(isinstance(author_ids, list) and author_ids, line_no, "author_ids must be a non-empty array")
     _require(all(isinstance(a, str) and a for a in author_ids), line_no, "author_ids entries must be strings")
     _check_year(pub_year, line_no, "pub_year")
@@ -291,19 +299,29 @@ def _parse_mentorship(obj, line_no: int) -> MentorshipRecord:
     if start_year is not None:
         _check_year(start_year, line_no, "start_year")
     _require(isinstance(field, str) and field != "", line_no, "field must be a non-empty string")
+    for name, value in (("mentor_id", mentor_id), ("mentee_id", mentee_id), ("field", field)):
+        _check_encodable(value, line_no, name)
     return MentorshipRecord(mentor_id, mentee_id, start_year, field)
 
 
 def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
+    """Each non-blank line's number and value. Lines are read as bytes and
+    decoded one by one, so a byte that is not UTF-8 is named by its line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                stripped = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise MalformedRecord(line_no, f"invalid UTF-8: {exc.reason}") from None
             if not stripped:
                 continue
             try:
-                yield line_no, json.loads(stripped)
+                obj = json.loads(stripped)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from None
+            except RecursionError:
+                raise MalformedRecord(line_no, "invalid JSON: nested too deeply") from None
+            yield line_no, obj
 
 
 def _kept_papers(
@@ -331,8 +349,6 @@ def ingest_corpus(
     papers_path: str | Path,
     mentorships_path: str | Path,
     config: IngestConfig | None = None,
-    *,
-    cache: Cache | None = None,
 ) -> IngestResult:
     """Read both JSONL files and build the citation index in one pass.
 
@@ -340,15 +356,7 @@ def ingest_corpus(
     counted; mentorship records whose mentor or mentee has fewer than
     ``min_papers`` papers in the filtered corpus are dropped and counted.
     Structural problems (bad JSON, missing keys, duplicate ids) raise.
-
-    With a `cache`, the entry named by the key of these files and the
-    cache's config is returned if it loads; otherwise the parsed result is
-    stored under that name. An entry under another key stays until the
-    cache's next complete pair stage prunes it, so a run interrupted after
-    an ingest setting changed leaves both entries behind.
     """
-    if cache is not None and (cached := cache.load_ingest()) is not None:
-        return cached
     cfg = config or IngestConfig()
     report: Counter[tuple[str, str]] = Counter()
 
@@ -388,10 +396,7 @@ def ingest_corpus(
         raise EmptyCorpus(f"no mentorship records in {mentorships_path}")
     report["mentorships", "ingested"] = len(mentorships)
 
-    result = IngestResult(index, mentorships, report)
-    if cache is not None:
-        cache.store_ingest(result)
-    return result
+    return IngestResult(index, mentorships, report)
 
 
 def cohort_flags(author: int, index: CitationIndex) -> CohortFlags:

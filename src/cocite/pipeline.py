@@ -31,9 +31,9 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, Ty
 
 import numpy as np
 
-from . import __version__
+from . import __version__, corpus
 from .career import cohort_average_series
-from .corpus import CitationIndex, IngestConfig, IngestResult, MentorshipRecord, Rows, ingest_corpus
+from .corpus import CitationIndex, IngestConfig, IngestResult, MentorshipRecord, Rows
 from .errors import CociteError, InvalidConfig
 from .profiles import (
     MENTEE_TYPES,
@@ -149,8 +149,12 @@ def parse_setting(key: str, raw: str) -> object:
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """key=value lines; blank lines and # comments ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: invalid UTF-8: {exc.reason}") from None
     out: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -407,6 +411,17 @@ class Cache:
             stale = path.suffix in (".json", ".npz") and path.name not in self.lookups
             if stale or path.suffix == ".tmp":
                 path.unlink()
+
+
+def ingest_corpus(config: PipelineConfig, cache: Cache) -> IngestResult:
+    """The run's ingest stage: the cache's ingest entry if it loads, else
+    the parse of `config`'s files, stored in the cache. An entry under
+    another key stays until the next complete pair stage prunes it."""
+    if (cached := cache.load_ingest()) is not None:
+        return cached
+    result = corpus.ingest_corpus(config.papers, config.mentorships, config.ingest_config())
+    cache.store_ingest(result)
+    return result
 
 
 Failure = tuple[str, str, str, str]  # mentor_id, mentee_id, stage, reason
@@ -742,7 +757,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     ends.append(time.perf_counter())
 
     cache = Cache(out_dir / "cache", corpus_hash, config)
-    ingest_result = ingest_corpus(config.papers, config.mentorships, config.ingest_config(), cache=cache)
+    ingest_result = ingest_corpus(config, cache)
     write_ingest_report(out_dir / "ingest_report.csv", ingest_result.report)
     written = ["ingest_report.csv"]
     ends.append(time.perf_counter())

@@ -163,20 +163,44 @@ class TestErrors:
         assert main(["run", *corpus_args(corpus_dir), "--out", str(out), "--gamma=0"]) == 0
         assert (out / "manifest.json").is_file()
 
-    def test_bad_config_file_exits_two(self, corpus_dir, tmp_path):
+    def test_bad_config_file_exits_two(self, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("definitely not config\n")
-        code = main(
-            [
-                "run",
-                *corpus_args(corpus_dir),
-                "--config",
-                str(cfg),
-                "--out",
-                str(tmp_path / "out"),
-            ]
-        )
+        for text in (b"definitely not config\n", b"gamma=1\xff\n"):
+            cfg.write_bytes(text)
+            code = main(
+                [
+                    "run",
+                    *corpus_args(corpus_dir),
+                    "--config",
+                    str(cfg),
+                    "--out",
+                    str(tmp_path / "out"),
+                ]
+            )
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: InvalidConfig: ")
+
+    def test_lone_surrogate_in_an_id_exits_two(self, corpus_dir, tmp_path, capsys):
+        # Accepted, the id would end the run in the CSV writer, after
+        # profiles.csv was opened.
+        mentor, _ = first_pair(corpus_dir)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for name in ("papers.jsonl", "mentorships.jsonl"):
+            text = (corpus_dir / name).read_text()
+            (bad / name).write_text(text.replace(f'"{mentor}"', f'"{mentor[:-1]}\\ud800"'))
+        out = tmp_path / "out"
+        assert main(["run", *corpus_args(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: MalformedRecord: line 1: mentor_id holds a lone surrogate\n"
+        assert not (out / "profiles.csv").exists()
+
+    def test_self_pair_exits_two(self, tmp_path, capsys):
+        # Refused before the corpus, here missing, is read.
+        code = main(pair_args(tmp_path, "m1", "m1", tmp_path / "out"))
         assert code == 2
+        assert capsys.readouterr().err == "error: InvalidConfig: --mentor and --mentee are both 'm1'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_directory_as_corpus_exits_two(self, corpus_dir, tmp_path, capsys):
         code = main(

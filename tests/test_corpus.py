@@ -137,15 +137,46 @@ class TestIngest:
         assert exc.value.line_no == 1
 
     def test_invalid_json_line_number(self, tmp_path):
-        # Blank lines are skipped, and the lines after them keep their numbers.
+        # Blank lines are skipped, and the lines after them keep their numbers,
+        # with \n or \r\n line ends. A byte that is not UTF-8 and nesting
+        # too deep for the JSON decoder are named by their line too, in
+        # either file.
         ppath = tmp_path / "papers.jsonl"
         mpath = tmp_path / "m.jsonl"
-        mpath.write_text(json.dumps(mship_obj("a", "b")) + "\n")
-        for gap, line_no in (("", 2), ("\n  \n", 4)):
-            ppath.write_text(json.dumps(paper_obj("p1", ["a"])) + "\n" + gap + "{not json\n")
+        good = {
+            ppath: json.dumps(paper_obj("p1", ["a"])).encode(),
+            mpath: json.dumps(mship_obj("a", "b")).encode(),
+        }
+        bad_lines = (
+            (b"{not json", "invalid JSON: Expecting property name enclosed in double quotes"),
+            (b'{"field": "caf\xe9"}', "invalid UTF-8: invalid continuation byte"),
+            (b"[" * 200_000, "invalid JSON: nested too deeply"),
+        )
+        for bad, reason in bad_lines:
+            for path in good:
+                for gap, line_no in ((b"", 2), (b"\n  \n", 4), (b"\r\n \r\n", 4)):
+                    for p, line in good.items():
+                        p.write_bytes(line + b"\n" + (gap + bad + b"\n" if p == path else b""))
+                    with pytest.raises(MalformedRecord) as exc:
+                        ingest_corpus(ppath, mpath, BASE_CFG)
+                    assert (exc.value.line_no, exc.value.reason) == (line_no, reason)
+
+    @pytest.mark.parametrize("key", ["paper_id", "mentor_id", "mentee_id", "field"])
+    def test_lone_surrogate_is_rejected(self, tmp_path, key):
+        # Ids and the mentorship field reach the UTF-8 outputs, so a lone
+        # surrogate is refused on its line; an escaped pair (an emoji) passes.
+        for value, reason in (("x\ud800", f"{key} holds a lone surrogate"), ("x\U0001f600", None)):
+            papers = [paper_obj("a1", ["a"]), paper_obj("b1", ["b"])]
+            mships = [mship_obj("a", "b"), mship_obj("b", "a")]
+            records = papers if key == "paper_id" else mships
+            records[1] = {**records[1], key: value}
+            ppath, mpath = write_corpus(tmp_path, papers, mships)
+            if reason is None:
+                ingest_corpus(ppath, mpath, BASE_CFG)
+                continue
             with pytest.raises(MalformedRecord) as exc:
                 ingest_corpus(ppath, mpath, BASE_CFG)
-            assert exc.value.line_no == line_no
+            assert (exc.value.line_no, exc.value.reason) == (2, reason)
 
     def test_duplicate_paper_id(self, tmp_path):
         # In the second corpus the year window drops the first copy.

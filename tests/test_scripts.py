@@ -167,3 +167,27 @@ def test_sources_parse_as_python_3_10():
     assert len(sources) > 30
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+# The package's modules in pipeline order: each may import only those before it.
+LAYERS = [
+    "errors", "corpus", "pairgraph", "community", "topics", "impact", "distance",
+    "career", "stats", "profiles", "synth", "pipeline", "cli",
+]
+
+
+def test_modules_import_only_earlier_layers():
+    """Every relative import under src/cocite, also those under
+    TYPE_CHECKING and inside functions, names a module before the importer
+    in LAYERS. `from . import __version__` is allowed anywhere; `__init__`
+    only re-exports and is outside the order."""
+    package = ROOT / "src" / "cocite"
+    assert {p.stem for p in package.glob("*.py")} - {"__init__"} == set(LAYERS)
+    for rank, name in enumerate(LAYERS):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            targets = [node.module] if node.module else [a.name for a in node.names if a.name != "__version__"]
+            for target in targets:
+                assert LAYERS.index(target) < rank, f"{name}.py:{node.lineno} imports {target}"
